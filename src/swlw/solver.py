@@ -7,15 +7,16 @@ Per time step tau, with the active unknowns j = 2..J-1:
   short wave   i (w - u^n)/tau + Lap_h m = beta |m|^2 m + alpha g(v^n) m,
                m = (w + u^n)/2.  The modulus |m|^2 is frozen from the
                previous inner iterate, so each inner solve is one linear
-               complex tridiagonal system (Thomas algorithm).  At the
+               complex tridiagonal system (cyclic reduction).  At the
                fixed point the scheme conserves ||u||_2 exactly; in
                practice the per-step change is bounded by a small multiple
                of the stopping tolerance.
 
   long wave    (w - v^n)/tau + D3 w + lam D0 f(w) = gamma D0 (g'(w) |u^n|^2)
                solved by Newton's method with the analytic pentadiagonal
-               Jacobian, factored in-band without pivoting (the 1/tau
-               shift keeps the symmetric part positive definite).
+               Jacobian, regrouped into 2 x 2 blocks and solved by block
+               cyclic reduction without pivoting (the 1/tau shift keeps
+               the symmetric part positive definite).
 
 Both inner iterations warm-start from the previous time level and stop
 when the discrete L2 norm of the update increment drops below the
@@ -81,124 +82,123 @@ class Tridiag:
             raise ValueError("inconsistent band lengths")
 
 
+def _mul(P, Q):
+    """Blockwise products of two stacks of blocks stored as (k, ., m)."""
+    return P * Q if len(P) == 1 else np.einsum("ijm,jlm->ilm", P, Q)
+
+
+class _CyclicReduction:
+    """Odd-even cyclic reduction of the matrix with diagonals ``bands``
+    (offsets -k..k, k = 1, 2) as block-tridiagonal k x k blocks, topped with
+    identity rows to 2**L - 1 block rows.  Each level eliminates its even
+    rows with the pivots inverted in closed form: Gaussian elimination on a
+    red-black symmetric permutation, which keeps a positive definite
+    symmetric part and row diagonal dominance, so no pivoting is needed.
+    A pivot with |det| < floor**k, floor relative to max |A_ij|, raises."""
+
+    def __init__(self, bands):
+        k = len(bands) // 2
+        n = len(bands[k])
+        rows = k * (2 ** (-(-n // k)).bit_length() - 1)
+        self.k, self.pad = k, rows - n
+        padded = np.zeros((2 * k + 1, rows), np.result_type(*bands))
+        padded[k, :self.pad] = 1.0
+        blocks = np.zeros((3, k, k, rows // k), padded.dtype)
+        for o, band in enumerate(bands, -k):
+            # padded[o + k, r] = A[r, r + o]; for r = k*b + i that entry is
+            # (i, j) of block (b, b + t - 1), t - 1 = (o + i) // k
+            padded[o + k, self.pad + max(-o, 0):rows - max(o, 0)] = band
+            for i in range(k):
+                blocks[(o + i) // k + 1, i, (o + i) % k] = padded[o + k, i::k]
+        lower, diag, upper = blocks
+        floor = _PIVOT_FLOOR * max(np.abs(blocks).max(), 1.0)
+        self.levels = []
+        while diag.shape[-1]:
+            piv = diag[..., ::2]
+            if k == 1:
+                det, nadj = piv[0], -1.0
+            else:
+                det = piv[0, 0] * piv[1, 1] - piv[0, 1] * piv[1, 0]
+                nadj = np.array([[-piv[1, 1], piv[0, 1]],
+                                 [piv[1, 0], -piv[0, 0]]])
+            if np.abs(det).min() < floor**k:
+                # pivot q of level l is block row 2**l * (2q + 1) - 1; a
+                # 2 x 2 pivot names its second row if its first is clear
+                q = np.flatnonzero(np.abs(det) < floor**k)[0]
+                row = k * (2**len(self.levels) * (2 * q + 1) - 1) - self.pad
+                second = k > 1 and abs(piv[0, 0, q]) >= floor
+                raise SingularSystemError(int(row + second))
+            ninv = nadj / det  # minus the inverse pivots
+            lo, up = lower[..., ::2], upper[..., ::2]
+            alpha = _mul(lower[..., 1::2], ninv[..., :-1])
+            beta = _mul(upper[..., 1::2], ninv[..., 1:])
+            self.levels.append((ninv, lo, up, alpha, beta))
+            lower = _mul(alpha, lo[..., :-1])
+            diag = (diag[..., 1::2] + _mul(alpha, up[..., :-1])
+                    + _mul(beta, lo[..., 1:]))
+            upper = _mul(beta, up[..., 1:])
+
+    def solve(self, b):
+        f = np.concatenate((np.zeros(self.pad, b.dtype), b))
+        x = _cr_solve(self.levels, f.reshape(-1, self.k).T[:, None])
+        return x[:, 0].T.ravel()[self.pad:]
+
+
+def _cr_solve(levels, f):
+    """Solve for f stored as (k, 1, m), with the remaining ``levels``."""
+    if not levels:
+        return f
+    ninv, lo, up, alpha, beta = levels[0]
+    x = _cr_solve(levels[1:], f[..., 1::2] + _mul(alpha, f[..., :-1:2])
+                  + _mul(beta, f[..., 2::2]))
+    # x fills the odd slots inside a zero border, so that the left and
+    # right neighbours of the pivot rows are plain slices
+    xn = np.zeros(f.shape[:-1] + (f.shape[-1] + 2,), np.result_type(ninv, f))
+    xn[..., 2:-1:2] = x
+    xn[..., 1::2] = _mul(ninv, _mul(lo, xn[..., :-1:2])
+                         + _mul(up, xn[..., 2::2]) - f[..., ::2])
+    return xn[..., 1:-1]
+
+
 def solve_tridiag(system, rhs):
-    """Thomas elimination without pivoting; raises on a vanishing pivot."""
-    d = np.asarray(system.diag)
-    lo = np.asarray(system.lower)
-    up = np.asarray(system.upper)
+    """Cyclic-reduction solve without pivoting; raises on a vanishing pivot."""
     b = np.asarray(rhs)
-    n = len(d)
-    if len(b) != n:
+    if len(b) != len(system.diag):
         raise ValueError("rhs length mismatch")
-    scale = max(np.max(np.abs(d)), np.max(np.abs(lo), initial=0.0),
-                np.max(np.abs(up), initial=0.0), 1.0)
-    floor = _PIVOT_FLOOR * scale
-    cp = np.empty(n - 1, dtype=np.result_type(d, up))
-    xp = np.empty(n, dtype=np.result_type(d, b, lo, up))
-    piv = d[0]
-    if abs(piv) < floor:
-        raise SingularSystemError(0)
-    cp[0] = up[0] / piv
-    xp[0] = b[0] / piv
-    for i in range(1, n):
-        piv = d[i] - lo[i - 1] * cp[i - 1]
-        if abs(piv) < floor:
-            raise SingularSystemError(i)
-        if i < n - 1:
-            cp[i] = up[i] / piv
-        xp[i] = (b[i] - lo[i - 1] * xp[i - 1]) / piv
-    for i in range(n - 2, -1, -1):
-        xp[i] -= cp[i] * xp[i + 1]
-    return xp
+    bands = (system.lower, system.diag, system.upper)
+    return _CyclicReduction([np.asarray(a) for a in bands]).solve(b)
 
 
 class Pentadiag:
-    """Real pentadiagonal system (offsets -2..+2) with in-band LU.
+    """Real pentadiagonal system (offsets -2..+2), solved as 2 x 2 blocks.
 
     Diagonals are stored by offset: ``dm2[i] = A[i+2, i]``,
     ``dm1[i] = A[i+1, i]``, ``d0[i] = A[i, i]``, ``dp1[i] = A[i, i+1]``,
-    ``dp2[i] = A[i, i+2]``.  ``factor`` computes Doolittle LU without
-    pivoting (callers guarantee the diagonal shift makes this safe) and
-    flips the instance from raw to factored.
+    ``dp2[i] = A[i, i+2]``.  ``factor`` reduces without pivoting (callers
+    guarantee the diagonal shift makes this safe) and caches the result.
     """
 
     def __init__(self, dm2, dm1, d0, dp1, dp2):
-        self.dm2 = np.asarray(dm2, dtype=np.float64)
-        self.dm1 = np.asarray(dm1, dtype=np.float64)
-        self.d0 = np.asarray(d0, dtype=np.float64)
-        self.dp1 = np.asarray(dp1, dtype=np.float64)
-        self.dp2 = np.asarray(dp2, dtype=np.float64)
-        n = len(self.d0)
-        if (len(self.dm1) != n - 1 or len(self.dp1) != n - 1
-                or len(self.dm2) != n - 2 or len(self.dp2) != n - 2):
+        self.bands = [np.asarray(b, dtype=np.float64)
+                      for b in (dm2, dm1, d0, dp1, dp2)]
+        self.dm2, self.dm1, self.d0, self.dp1, self.dp2 = self.bands
+        self.n = n = len(self.d0)
+        if [len(b) for b in self.bands] != [n - 2, n - 1, n, n - 1, n - 2]:
             raise ValueError("inconsistent band lengths")
-        self.n = n
         self.factored = False
 
     def factor(self):
-        """In-band LU; idempotent."""
-        if self.factored:
-            return self
-        n = self.n
-        u0 = np.empty(n)
-        u1 = np.zeros(max(n - 1, 0))
-        u2 = np.zeros(max(n - 2, 0))
-        l1 = np.zeros(max(n - 1, 0))
-        l2 = np.zeros(max(n - 2, 0))
-        scale = max(np.max(np.abs(self.d0)), 1.0)
-        floor = _PIVOT_FLOOR * scale
-        u0[0] = self.d0[0]
-        if abs(u0[0]) < floor:
-            raise SingularSystemError(0)
-        if n > 1:
-            u1[0] = self.dp1[0]
-        if n > 2:
-            u2[0] = self.dp2[0]
-        if n > 1:
-            l1[0] = self.dm1[0] / u0[0]
-            u0[1] = self.d0[1] - l1[0] * u1[0]
-            if abs(u0[1]) < floor:
-                raise SingularSystemError(1)
-            if n > 2:
-                u1[1] = self.dp1[1] - l1[0] * u2[0]
-            if n > 3:
-                u2[1] = self.dp2[1]
-        for i in range(2, n):
-            l2[i - 2] = self.dm2[i - 2] / u0[i - 2]
-            l1[i - 1] = (self.dm1[i - 1] - l2[i - 2] * u1[i - 2]) / u0[i - 1]
-            u0[i] = (self.d0[i] - l2[i - 2] * u2[i - 2]
-                     - l1[i - 1] * u1[i - 1])
-            if abs(u0[i]) < floor:
-                raise SingularSystemError(i)
-            if i < n - 1:
-                u1[i] = self.dp1[i] - l1[i - 1] * u2[i - 1]
-            if i < n - 2:
-                u2[i] = self.dp2[i]
-        self._u0, self._u1, self._u2 = u0, u1, u2
-        self._l1, self._l2 = l1, l2
-        self.factored = True
+        """Cyclic-reduction factorization, cached; idempotent."""
+        if not self.factored:
+            self._cr = _CyclicReduction(self.bands)
+            self.factored = True
         return self
 
     def solve(self, rhs):
-        self.factor()
         b = np.asarray(rhs, dtype=np.float64)
-        n = self.n
-        if len(b) != n:
+        if len(b) != self.n:
             raise ValueError("rhs length mismatch")
-        y = np.empty(n)
-        y[0] = b[0]
-        if n > 1:
-            y[1] = b[1] - self._l1[0] * y[0]
-        for i in range(2, n):
-            y[i] = b[i] - self._l1[i - 1] * y[i - 1] - self._l2[i - 2] * y[i - 2]
-        x = np.empty(n)
-        x[n - 1] = y[n - 1] / self._u0[n - 1]
-        if n > 1:
-            x[n - 2] = (y[n - 2] - self._u1[n - 2] * x[n - 1]) / self._u0[n - 2]
-        for i in range(n - 3, -1, -1):
-            x[i] = (y[i] - self._u1[i] * x[i + 1]
-                    - self._u2[i] * x[i + 2]) / self._u0[i]
-        return x
+        return self.factor()._cr.solve(b)
 
 
 def schrodinger_update(u_n, v_n, params, cfg):
@@ -220,24 +220,21 @@ def schrodinger_update(u_n, v_n, params, cfg):
     lap_u = (u[3:g.J + 1] - 2.0 * u[2:g.J] + u[1:g.J - 1]) / h2
 
     w = u[a].copy()  # warm start: previous time level
-    iters = 0
-    while True:
-        iters += 1
+    residuals = []
+    for it in range(1, cfg.max_iter + 1):
         mid = 0.5 * (w + u[a])
         q = params.beta * np.abs(mid)**2 + params.alpha * gv
         diag = 1j / tau - 1.0 / h2 - 0.5 * q
         rhs_vec = 1j / tau * u[a] - 0.5 * lap_u + 0.5 * q * u[a]
         w_new = solve_tridiag(Tridiag(off, diag, off), rhs_vec)
         incr = float(np.sqrt(g.h * np.sum(np.abs(w_new - w)**2)))
+        residuals.append(incr)
         w = w_new
         if incr <= cfg.tol:
-            break
-        if iters >= cfg.max_iter:
-            raise NonConvergenceError("Crank-Nicolson inner iteration",
-                                      [incr])
-    out = np.zeros(g.J + 2, dtype=np.complex128)
-    out[a] = w
-    return ComplexGridFn(g, out), iters
+            out = np.zeros(g.J + 2, dtype=np.complex128)
+            out[a] = w
+            return ComplexGridFn(g, out), it
+    raise NonConvergenceError("Crank-Nicolson inner iteration", residuals)
 
 
 def _kdv_residual(w, v_n, usq, params, tau, g):

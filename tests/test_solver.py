@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from swlw import solver
 from swlw.dynamics import ModelParams, State, mass
 from swlw.grid import ComplexGridFn, Grid, RealGridFn, norm_p, sample
 from swlw.oracle import TravelingWave
 from swlw.solver import (NonConvergenceError, Pentadiag, SingularSystemError,
-                         SolverConfig, Tridiag, kdv_jacobian, kdv_update, run,
-                         schrodinger_update, solve_tridiag, step)
+                         SolverConfig, Tridiag, _kdv_residual, kdv_jacobian,
+                         kdv_update, run, schrodinger_update, solve_tridiag,
+                         step)
 from swlw.truncation import TruncationFamily
 
 
@@ -103,6 +107,128 @@ class TestBandedSolvers:
             Pentadiag(np.zeros(3), np.zeros(3), np.zeros(5),
                       np.zeros(4), np.zeros(3))
 
+    # the reduction pads to 2**L - 1 (block) rows: cover both sides of
+    # each padding edge as well as the smallest systems
+    EDGE_SIZES = list(range(1, 10)) + [m + d for m in (16, 32, 64)
+                                       for d in (-1, 0, 1)]
+
+    @pytest.mark.parametrize("n", EDGE_SIZES)
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_tridiag_edge_sizes_match_dense_oracle(self, n, complex_):
+        rng = np.random.default_rng(n)
+        sys_ = diag_dominant_tridiag(rng, n, complex_=complex_)
+        b = rng.normal(size=n) + (1j * rng.normal(size=n) if complex_ else 0)
+        ref = np.linalg.solve(tridiag_dense(sys_), b)
+        x = solve_tridiag(sys_, b)
+        assert x.shape == (n,)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [n for n in EDGE_SIZES if n >= 2])
+    def test_penta_edge_sizes_match_dense_oracle(self, n):
+        rng = np.random.default_rng(n)
+        p = diag_dominant_penta(rng, n)
+        b = rng.normal(size=n)
+        ref = np.linalg.solve(penta_dense(p), b)
+        x = p.solve(b)
+        assert x.shape == (n,)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n,row", [(9, 4), (16, 7), (16, 8), (33, 31)])
+    def test_zero_pivot_inside_reports_its_row(self, n, row):
+        # a zero row makes the pivot of that row exactly zero in any
+        # elimination order, so the error must name it
+        rng = np.random.default_rng(4)
+        t = diag_dominant_tridiag(rng, n)
+        t.diag[row] = 0.0
+        t.lower[row - 1] = 0.0
+        if row < n - 1:
+            t.upper[row] = 0.0
+        with pytest.raises(SingularSystemError) as ei:
+            solve_tridiag(t, np.ones(n))
+        assert ei.value.row == row
+        p = diag_dominant_penta(rng, n)
+        p.d0[row] = 0.0
+        p.dm1[row - 1] = 0.0
+        p.dm2[row - 2] = 0.0
+        p.dp1[row:row + 1] = 0.0
+        p.dp2[row:row + 1] = 0.0
+        with pytest.raises(SingularSystemError) as ei:
+            p.factor()
+        assert ei.value.row == row
+        assert not p.factored
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 80), seed=st.integers(0, 2**32 - 1),
+           complex_=st.booleans())
+    def test_band_solves_match_dense_oracle_property(self, n, seed,
+                                                     complex_):
+        rng = np.random.default_rng(seed)
+        sys_ = diag_dominant_tridiag(rng, n, complex_=complex_)
+        b = rng.normal(size=n) + (1j * rng.normal(size=n) if complex_ else 0)
+        ref = np.linalg.solve(tridiag_dense(sys_), b)
+        assert np.max(np.abs(solve_tridiag(sys_, b) - ref)) \
+            <= 1e-12 * np.abs(ref).max()
+        if n >= 2:
+            p = diag_dominant_penta(rng, n)
+            b = rng.normal(size=n)
+            ref = np.linalg.solve(penta_dense(p), b)
+            assert np.max(np.abs(p.solve(b) - ref)) \
+                <= 1e-12 * np.abs(ref).max()
+
+
+class TestHardSystems:
+    """The systems the stepper itself solves at J = 4000, tau = 1e-4.
+
+    There 1/tau = 1e4 while 1/(2h^3) is about 9.3e4, so the KdV Jacobian
+    is far from diagonally dominant; only its positive definite symmetric
+    part makes elimination without pivoting safe.  The reference is
+    LAPACK's partially pivoted band LU, which is the dense LU restricted
+    to the band and needs no dense 4000 x 4000 matrix.
+    """
+
+    wave = TravelingWave(alpha=-1.0 / 12.0, x0=15.0)
+    tau = 1e-4
+
+    def setup_method(self):
+        self.g = Grid(4000, 70.0)
+        self.s = self.wave.state(self.g, 0.0, x_left=-20.0)
+        self.params = self.wave.model_params()
+
+    @staticmethod
+    def reference(bands, b):
+        from scipy.linalg import solve_banded
+        w = len(bands) // 2
+        ab = np.zeros((len(bands), len(b)), dtype=np.result_type(*bands))
+        for o, band in zip(range(w, -w - 1, -1), bands[::-1]):
+            ab[w - o, max(o, 0):len(b) + min(o, 0)] = band
+        return solve_banded((w, w), ab, b)
+
+    def test_crank_nicolson_system(self, monkeypatch):
+        seen = []
+
+        def capture(system, rhs):
+            seen.append((system, rhs))
+            return solve_tridiag(system, rhs)
+        monkeypatch.setattr(solver, "solve_tridiag", capture)
+        schrodinger_update(self.s.u, self.s.v, self.params,
+                           SolverConfig(tau=self.tau, T=1.0, tol=1e-8))
+        system, rhs = seen[0]
+        ref = self.reference((system.lower, system.diag, system.upper), rhs)
+        x = solve_tridiag(system, rhs)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.abs(ref).max()
+
+    def test_kdv_jacobian(self):
+        g = self.g
+        w = self.s.v.values
+        usq = np.abs(self.s.u.values)**2
+        jac = kdv_jacobian(w, usq, self.params, self.tau, g)
+        assert jac.d0[0] < abs(jac.dm2[0]) + abs(jac.dp2[0])
+        # the first Newton system of the step, warm-started at v^n
+        rhs = -_kdv_residual(w, w, usq, self.params, self.tau, g)
+        ref = self.reference(jac.bands, rhs)
+        x = jac.solve(rhs)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.abs(ref).max()
+
 
 class TestSchrodingerUpdate:
     def setup_method(self):
@@ -159,6 +285,15 @@ class TestSchrodingerUpdate:
         cfg = SolverConfig(tau=0.1, T=1.0, tol=1e-15, max_iter=2)
         with pytest.raises(NonConvergenceError):
             schrodinger_update(u0, v0, self.params, cfg)
+
+    def test_stall_keeps_full_increment_history(self):
+        g = Grid(64, 70.0)
+        s = self.wave.state(g, 0.0, x_left=-20.0)
+        cfg = SolverConfig(tau=1e-3, T=1.0, tol=1e-300, max_iter=3)
+        with pytest.raises(NonConvergenceError) as ei:
+            schrodinger_update(s.u, s.v, self.params, cfg)
+        assert len(ei.value.residuals) == 3
+        assert "after 3 iterations" in str(ei.value)
 
 
 class TestKdvUpdate:
