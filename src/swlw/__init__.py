@@ -1,9 +1,10 @@
 """Finite-difference solvers for the coupled Schrodinger-KdV system
 modelling short-wave/long-wave resonance on a bounded interval."""
 
-from .dynamics import (BlowUpError, ModelParams, RunDiagnostics, State,
-                       apriori_quantities, energy, integrate_semidiscrete,
-                       mass, q_invariant, rhs, rk4_step, stability_budget)
+from .dynamics import (BlowUpError, ModelParams, RunDiagnostics, SolverFailure,
+                       State, apriori_quantities, energy,
+                       integrate_semidiscrete, mass, q_invariant, rhs,
+                       rk4_step, stability_budget)
 from .grid import (ComplexGridFn, Grid, GridFn, RealGridFn, d_cubed, d_minus,
                    d_plus, d_zero, dplus_norm_p, inner, interp_p0, interp_p1,
                    laplacian_h, norm_p, sample)

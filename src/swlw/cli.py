@@ -8,16 +8,17 @@
 Common flags: --output-dir DIR, --quiet, --profile {desk|paper}.  The
 paper profile overrides tau = 1e-4 and T = 5 (the full-scale experiment);
 desk leaves the config untouched.  Exit codes: 0 success, 1 usage error,
-2 solver failure.
+2 solver failure (non-convergence, singular system or blow-up).
 """
 
 import argparse
 import dataclasses
+import math
 import sys
 
+from .dynamics import SolverFailure
 from .harness import (ConfigError, cmd_conserve, cmd_converge, cmd_run,
                       cmd_truncate, load_config)
-from .solver import NonConvergenceError, SingularSystemError
 
 USAGE_ERROR = 1
 SOLVER_ERROR = 2
@@ -51,13 +52,17 @@ def _build_parser():
     return parser
 
 
-def _parse_floats(text, what):
+def _parse_floats(text, what, integral=False):
     try:
         values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"could not parse {what} list {text!r}") from None
     if not values:
         raise ConfigError(f"empty {what} list")
+    if not all(v.is_integer() if integral else math.isfinite(v)
+               for v in values):
+        kind = "integers" if integral else "finite"
+        raise ConfigError(f"{what} values must be {kind}, got {text!r}")
     return values
 
 
@@ -80,7 +85,8 @@ def main(argv=None):
             for path in cmd_run(config, args.output_dir):
                 say(f"wrote {path}")
         elif args.command == "converge":
-            meshes = [int(v) for v in _parse_floats(args.meshes, "mesh")]
+            meshes = [int(v) for v in _parse_floats(args.meshes, "--meshes",
+                                                    integral=True)]
             if len(meshes) < 2:
                 raise ConfigError("converge needs at least two mesh sizes")
             path, rows = cmd_converge(config, meshes, args.output_dir)
@@ -92,7 +98,7 @@ def main(argv=None):
             for path in cmd_conserve(config, args.output_dir):
                 say(f"wrote {path}")
         elif args.command == "truncate":
-            levels = _parse_floats(args.levels, "level")
+            levels = _parse_floats(args.levels, "--levels")
             path, rows = cmd_truncate(config, levels, args.output_dir)
             say(f"wrote {path}")
             for M, v_sup, active, diff in rows:
@@ -101,7 +107,7 @@ def main(argv=None):
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (NonConvergenceError, SingularSystemError) as exc:
+    except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return SOLVER_ERROR
     return 0

@@ -24,9 +24,10 @@ from .grid import (ComplexGridFn, RealGridFn, d_zero, d_cubed, laplacian_h,
                    inner, norm_p, dplus_norm_p)
 from .truncation import TruncationFamily
 
-__all__ = ["ModelParams", "State", "RunDiagnostics", "BlowUpError",
-           "rhs", "rk4_step", "stability_budget", "integrate_semidiscrete",
-           "mass", "q_invariant", "energy", "apriori_quantities"]
+__all__ = ["ModelParams", "State", "RunDiagnostics", "SolverFailure",
+           "BlowUpError", "rhs", "rk4_step", "stability_budget",
+           "integrate_semidiscrete", "mass", "q_invariant", "energy",
+           "apriori_quantities"]
 
 #: dt <= RK4_STABILITY_FACTOR * h^3 keeps the explicit reference integrator
 #: inside the RK4 imaginary-axis stability interval for the third-difference
@@ -34,14 +35,24 @@ __all__ = ["ModelParams", "State", "RunDiagnostics", "BlowUpError",
 RK4_STABILITY_FACTOR = 0.4
 
 
-class BlowUpError(RuntimeError):
-    """NaN/Inf detected while time stepping."""
+class SolverFailure(RuntimeError):
+    """A time step failed.  Raised out of the time loop, it carries
+    ``step_index`` (the failing step, from 1), ``time`` (that of the last
+    good state) and ``diagnostics`` (the samples taken so far)."""
+
+
+class BlowUpError(SolverFailure):
+    """NaN/Inf detected while time stepping; ``t`` is ``time``, which the
+    time loop fills in when the raiser does not know it."""
 
     def __init__(self, t, dt, diagnostics=None):
-        super().__init__(f"non-finite state at t={t} (dt={dt})")
-        self.t = t
-        self.dt = dt
-        self.diagnostics = diagnostics
+        super().__init__()
+        self.time, self.dt, self.diagnostics = t, dt, diagnostics
+
+    t = property(lambda self: self.time)
+
+    def __str__(self):
+        return f"non-finite state at t={self.time} (dt={self.dt})"
 
 
 @dataclass(frozen=True)
@@ -206,30 +217,46 @@ def apriori_quantities(u0, v0, params):
 
 
 def integrate_semidiscrete(initial, params, dt, T, sample_every=1):
-    """Drive rk4_step to the first time >= T, sampling diagnostics.
+    """Drive rk4_step to the first time >= T, sampling as ``_march`` does.
 
-    Diagnostics are recorded at t = 0, every ``sample_every`` steps, and at
-    the final time.  Raises BlowUpError (with the diagnostics collected so
-    far attached) if the state goes non-finite, and ValueError when dt
+    Raises BlowUpError if the state goes non-finite, and ValueError when dt
     exceeds the stability budget of the grid.
     """
-    if dt <= 0 or T <= 0 or sample_every < 1:
-        raise ValueError("dt, T must be positive and sample_every >= 1")
+    if dt <= 0 or T <= 0:
+        raise ValueError("dt, T must be positive")
     budget = stability_budget(initial.grid)
     if dt > budget:
         raise ValueError(
             f"dt={dt} exceeds the RK4 stability budget {budget:.3g} "
             f"(= {RK4_STABILITY_FACTOR} h^3); shrink dt or coarsen the grid")
+    return _march(initial, params, lambda s: (rk4_step(s, params, dt), 0, 0),
+                  dt, T, sample_every)
+
+
+def _march(initial, params, advance, dt, T, sample_every=1, observe=None):
+    """The time loop of every driver: ``advance(state)`` returns
+    ``(state, iters_u, iters_v)``, from ``initial`` to the first time >= T.
+
+    Step n is re-stamped to ``initial.t + n * dt``.  Diagnostics are
+    recorded, and then ``observe(state)`` called, at step 0 (the initial
+    state), every ``sample_every`` steps and at the last step.  A
+    SolverFailure leaves with its step, time and diagnostics attached.
+    """
+    if sample_every < 1:
+        raise ValueError("sample_every must be >= 1")
     diags = RunDiagnostics()
-    diags.record(initial, params)
-    state = initial
+    state, iu, iv = initial, 0, 0
     n_steps = int(np.ceil(T / dt - 1e-12))
-    for n in range(1, n_steps + 1):
-        try:
-            state = rk4_step(state, params, dt)
-        except BlowUpError as exc:
-            raise BlowUpError(state.t, dt, diags) from exc
-        state = State(initial.t + n * dt, state.u, state.v)
+    for n in range(n_steps + 1):
+        if n > 0:
+            try:
+                state, iu, iv = advance(state)
+            except SolverFailure as exc:
+                exc.step_index, exc.time, exc.diagnostics = n, state.t, diags
+                raise
+            state = State(initial.t + n * dt, state.u, state.v)
         if n % sample_every == 0 or n == n_steps:
-            diags.record(state, params)
+            diags.record(state, params, iters_u=iu, iters_v=iv)
+            if observe is not None:
+                observe(state)
     return state, diags

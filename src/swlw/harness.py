@@ -6,18 +6,18 @@ decimal separator, so identical configs produce bitwise-identical files.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 import yaml
 
-from .dynamics import (ModelParams, State, integrate_semidiscrete,
-                       stability_budget)
+from .dynamics import (ModelParams, SolverFailure, State,
+                       integrate_semidiscrete)
 from .grid import ComplexGridFn, Grid, RealGridFn
 from .oracle import TravelingWave
-from .solver import NonConvergenceError, SingularSystemError, SolverConfig, run
+from .solver import SolverConfig, run
 from .truncation import TruncationFamily
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "load_config",
@@ -58,11 +58,15 @@ class RunConfig:
         return SolverConfig(tau=self.tau, T=self.T, tol=self.tol,
                             max_iter=self.max_iter)
 
-    def initial_state(self, grid=None):
-        g = grid if grid is not None else self.grid()
+    def initial_state(self):
+        g = self.grid()
         if self.wave is not None:
             return self.wave.initial_state(g, self.x_left)
         data = np.load(self.initial_file)
+        for key in ("u", "v"):
+            if key not in data or not np.all(np.isfinite(data[key])):
+                raise ConfigError(f"'initial.file' {self.initial_file}: array "
+                                  f"'{key}' is missing or not finite")
         return State(0.0, ComplexGridFn(g, data["u"]), RealGridFn(g, data["v"]))
 
 
@@ -78,12 +82,14 @@ def _check_known(mapping, known, path):
             raise ConfigError(f"unknown key '{path}{key}'")
 
 
-def _positive(value, path, kind=float):
+def _number(value, path, positive=False):
     try:
-        value = kind(value)
+        value = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"'{path}' must be a number, got {value!r}") from None
-    if value <= 0:
+    if not np.isfinite(value):
+        raise ConfigError(f"'{path}' must be finite, got {value}")
+    if positive and value <= 0:
         raise ConfigError(f"'{path}' must be positive, got {value}")
     return value
 
@@ -122,18 +128,18 @@ def parse_config(doc):
         dom = doc["domain"]
         if not (isinstance(dom, (list, tuple)) and len(dom) == 2):
             raise ConfigError("'domain' must be a two-element list [a, b]")
-        a, b = float(dom[0]), float(dom[1])
+        a, b = (_number(x, "domain") for x in dom)
         if b <= a:
             raise ConfigError(f"'domain' must satisfy a < b, got [{a}, {b}]")
         L, x_left = b - a, a
     else:
-        L, x_left = _positive(_require(doc, "L", ""), "L"), 0.0
+        L, x_left = _number(_require(doc, "L", ""), "L", positive=True), 0.0
 
     J = _require(doc, "J", "")
     if not isinstance(J, int) or J < 6:
         raise ConfigError(f"'J' must be an integer >= 6, got {J!r}")
-    tau = _positive(_require(doc, "tau", ""), "tau")
-    T = _positive(_require(doc, "T", ""), "T")
+    tau = _number(_require(doc, "tau", ""), "tau", positive=True)
+    T = _number(_require(doc, "T", ""), "T", positive=True)
 
     p = _require(doc, "params", "")
     _check_known(p, {"alpha", "beta", "gamma", "lambda"}, "params.")
@@ -147,18 +153,14 @@ def parse_config(doc):
             raise ConfigError(f"truncation.M: {exc}") from exc
     else:
         raise ConfigError("'truncation' must be 'off' or a mapping {M: level}")
-    try:
-        params = ModelParams(alpha=float(_require(p, "alpha", "params.")),
-                             beta=float(_require(p, "beta", "params.")),
-                             gamma=float(_require(p, "gamma", "params.")),
-                             lam=float(p.get("lambda", 1.0)),
-                             trunc=trunc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"params: {exc}") from exc
+    coef = {key: _number(_require(p, key, "params."), f"params.{key}")
+            for key in ("alpha", "beta", "gamma")}
+    params = ModelParams(**coef, trunc=trunc,
+                         lam=_number(p.get("lambda", 1.0), "params.lambda"))
 
     s = doc.get("solver", {})
     _check_known(s, {"tol", "max_iter"}, "solver.")
-    tol = _positive(s.get("tol", 1e-6), "solver.tol")
+    tol = _number(s.get("tol", 1e-6), "solver.tol", positive=True)
     max_iter = int(s.get("max_iter", 50))
     if max_iter < 1:
         raise ConfigError(f"'solver.max_iter' must be >= 1, got {max_iter}")
@@ -230,37 +232,21 @@ def cmd_run(config, output_dir="."):
     diagnostics CSV is flushed with a trailing status row and the error is
     re-raised.
     """
-    from .dynamics import RunDiagnostics
-    from .solver import step
-
     out = Path(output_dir)
-    grid = config.grid()
-    initial = config.initial_state(grid)
     diag_path = out / config.diagnostics_path
-    cfg = config.solver_config()
-
-    diags = RunDiagnostics()
-    diags.record(initial, config.params)
     err_rows = []
 
     def sample_error(state):
-        if config.wave is not None:
-            e = config.wave.relative_l2_error(state, config.x_left)
-            err_rows.append((state.t, e["err_u"], e["err_v"]))
+        e = config.wave.relative_l2_error(state, config.x_left)
+        err_rows.append((state.t, e["err_u"], e["err_v"]))
 
-    sample_error(initial)
-    state = initial
-    n_steps = int(np.ceil(cfg.T / cfg.tau - 1e-12))
     try:
-        for n in range(1, n_steps + 1):
-            state, iu, iv = step(state, config.params, cfg)
-            state = State(initial.t + n * cfg.tau, state.u, state.v)
-            if n % config.sample_every == 0 or n == n_steps:
-                diags.record(state, config.params, iters_u=iu, iters_v=iv)
-                sample_error(state)
-    except (NonConvergenceError, SingularSystemError) as exc:
-        _write_csv(diag_path, DIAGNOSTICS_HEADER, _diag_rows(diags),
-                   trailer=f"# status: failed at step {n}: {exc}")
+        _, diags = run(config.initial_state(), config.params,
+                       config.solver_config(), config.sample_every,
+                       observe=None if config.wave is None else sample_error)
+    except SolverFailure as exc:
+        _write_csv(diag_path, DIAGNOSTICS_HEADER, _diag_rows(exc.diagnostics),
+                   trailer=f"# status: failed at step {exc.step_index}: {exc}")
         raise
     _write_csv(diag_path, DIAGNOSTICS_HEADER, _diag_rows(diags))
     written = [diag_path]
@@ -296,7 +282,7 @@ def cmd_converge(config, mesh_list, output_dir=".", csv_name="convergence.csv"):
                          err["err_v"],
                          max(max(diags.inner_iters_u), max(diags.inner_iters_v)),
                          wall, "ok"))
-        except (NonConvergenceError, SingularSystemError) as exc:
+        except SolverFailure as exc:
             wall = time.perf_counter() - t0
             rows.append((J, grid.h, config.tau, config.T, np.nan, np.nan, 0,
                          wall, f"failed: {type(exc).__name__}"))
@@ -313,13 +299,7 @@ def cmd_conserve(config, output_dir="."):
     (diagnostics schema).  Raises ValueError when tau exceeds the RK4
     stability budget of the grid.
     """
-    grid = config.grid()
-    budget = stability_budget(grid)
-    if config.tau > budget:
-        raise ValueError(
-            f"tau={config.tau} exceeds the RK4 stability budget {budget:.3g}; "
-            f"use a smaller tau or a coarser grid for conservation studies")
-    initial = config.initial_state(grid)
+    initial = config.initial_state()
     _, semi = integrate_semidiscrete(initial, config.params, config.tau,
                                      config.T, sample_every=config.sample_every)
     _, full = run(initial, config.params, config.solver_config(),
@@ -340,24 +320,16 @@ def cmd_truncate(config, levels, output_dir=".", csv_name="truncate.csv"):
     """
     if not levels:
         raise ValueError("need at least one truncation level")
-    grid = config.grid()
-    initial = config.initial_state(grid)
-    base_params = ModelParams(alpha=config.params.alpha,
-                              beta=config.params.beta,
-                              gamma=config.params.gamma,
-                              lam=config.params.lam,
-                              trunc=TruncationFamily.off())
-    base_final, base_diags = run(initial, base_params, config.solver_config(),
-                                 sample_every=config.sample_every)
+    initial = config.initial_state()
+
+    def run_with(trunc):
+        return run(initial, replace(config.params, trunc=trunc),
+                   config.solver_config(), sample_every=config.sample_every)
+
+    base_final, _ = run_with(TruncationFamily.off())
     rows = []
     for M in levels:
-        params = ModelParams(alpha=config.params.alpha,
-                             beta=config.params.beta,
-                             gamma=config.params.gamma,
-                             lam=config.params.lam,
-                             trunc=TruncationFamily.active(M))
-        final, diags = run(initial, params, config.solver_config(),
-                           sample_every=config.sample_every)
+        final, diags = run_with(TruncationFamily.active(M))
         v_sup_max = max(diags.v_sup)
         diff = max(np.max(np.abs(final.u.values - base_final.u.values)),
                    np.max(np.abs(final.v.values - base_final.v.values)))

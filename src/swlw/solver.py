@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import RunDiagnostics, State
+from .dynamics import BlowUpError, SolverFailure, State, _march
 from .grid import ComplexGridFn, RealGridFn, d_cubed, d_zero
 
 __all__ = ["SolverConfig", "Tridiag", "Pentadiag", "solve_tridiag",
@@ -37,7 +37,7 @@ __all__ = ["SolverConfig", "Tridiag", "Pentadiag", "solve_tridiag",
 _PIVOT_FLOOR = 1e-14
 
 
-class SingularSystemError(RuntimeError):
+class SingularSystemError(SolverFailure):
     """Zero or near-zero pivot during banded elimination."""
 
     def __init__(self, row):
@@ -45,7 +45,7 @@ class SingularSystemError(RuntimeError):
         self.row = row
 
 
-class NonConvergenceError(RuntimeError):
+class NonConvergenceError(SolverFailure):
     """Inner iteration failed to meet the tolerance within max_iter."""
 
     def __init__(self, what, residuals):
@@ -121,7 +121,9 @@ class _CyclicReduction:
                 det = piv[0, 0] * piv[1, 1] - piv[0, 1] * piv[1, 0]
                 nadj = np.array([[-piv[1, 1], piv[0, 1]],
                                  [piv[1, 0], -piv[0, 0]]])
-            if np.abs(det).min() < floor**k:
+            # a non-finite matrix is not singular: the caller sees its
+            # non-finite solution and reports a blow-up
+            if floor < np.inf and np.abs(det).min() < floor**k:
                 # pivot q of level l is block row 2**l * (2q + 1) - 1; a
                 # 2 x 2 pivot names its second row if its first is clear
                 q = np.flatnonzero(np.abs(det) < floor**k)[0]
@@ -234,6 +236,8 @@ def schrodinger_update(u_n, v_n, params, cfg):
             out = np.zeros(g.J + 2, dtype=np.complex128)
             out[a] = w
             return ComplexGridFn(g, out), it
+        if not np.isfinite(incr):  # the iterate blew up
+            raise BlowUpError(None, cfg.tau)
     raise NonConvergenceError("Crank-Nicolson inner iteration", residuals)
 
 
@@ -283,6 +287,8 @@ def kdv_update(v_n, u_n, params, cfg):
         residuals.append(incr)
         if incr <= cfg.tol:
             return RealGridFn(g, w), it
+        if not np.isfinite(incr):  # the iterate blew up
+            raise BlowUpError(None, cfg.tau)
     raise NonConvergenceError("KdV Newton iteration", residuals)
 
 
@@ -294,28 +300,14 @@ def step(state, params, cfg):
     return State(state.t + cfg.tau, u_next, v_next), iu, iv
 
 
-def run(initial, params, cfg, sample_every=1):
+def run(initial, params, cfg, sample_every=1, observe=None):
     """Step to the horizon T, sampling diagnostics and iteration counts.
 
     Returns the final state and a RunDiagnostics whose inner_iters_u /
     inner_iters_v columns carry the per-step counts at the sampled steps.
-    Errors are re-raised with the step index and time attached.
+    ``observe(state)`` is called at each sample; a SolverFailure carries
+    the step index, time and diagnostics (see ``dynamics._march``).
     """
-    if sample_every < 1:
-        raise ValueError("sample_every must be >= 1")
-    diags = RunDiagnostics()
-    diags.record(initial, params)
-    state = initial
-    n_steps = int(np.ceil(cfg.T / cfg.tau - 1e-12))
-    for n in range(1, n_steps + 1):
-        try:
-            state, iu, iv = step(state, params, cfg)
-        except (NonConvergenceError, SingularSystemError) as exc:
-            exc.step_index = n
-            exc.time = state.t
-            exc.diagnostics = diags
-            raise
-        state = State(initial.t + n * cfg.tau, state.u, state.v)
-        if n % sample_every == 0 or n == n_steps:
-            diags.record(state, params, iters_u=iu, iters_v=iv)
-    return state, diags
+    # step is looked up at call time, so a patched solver.step is seen
+    return _march(initial, params, lambda s: step(s, params, cfg), cfg.tau,
+                  cfg.T, sample_every, observe)
