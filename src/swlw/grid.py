@@ -201,7 +201,12 @@ def dplus_norm_p(z, p, grid=None):
 
 
 def sample(f, grid, cls=RealGridFn):
-    """Sample a scalar function at the interior nodes, ghosts forced to 0."""
+    """Sample a scalar function at the interior nodes, ghosts forced to 0.
+
+    ``f`` is called once per active node with a scalar x, so it need not
+    accept arrays; an array-ready closed form is faster evaluated directly
+    on ``grid.x`` (as ``TravelingWave.state`` does).
+    """
     vals = np.zeros(grid.J + 2, dtype=cls.dtype)
     xs = grid.x[grid.active]
     fv = np.asarray([f(x) for x in xs], dtype=cls.dtype)

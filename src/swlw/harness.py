@@ -82,10 +82,26 @@ def _check_known(mapping, known, path):
             raise ConfigError(f"unknown key '{path}{key}'")
 
 
+def _mapping(mapping, key, path, default=None):
+    """The sub-mapping at ``key``; a required one when no default is given."""
+    value = (_require(mapping, key, path) if default is None
+             else mapping.get(key, default))
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{path}{key}' must be a mapping, got {value!r}")
+    return value
+
+
+def _integer(value, path, minimum):
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ConfigError(f"'{path}' must be an integer >= {minimum}, "
+                          f"got {value!r}")
+    return value
+
+
 def _number(value, path, positive=False):
     try:
         value = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"'{path}' must be a number, got {value!r}") from None
     if not np.isfinite(value):
         raise ConfigError(f"'{path}' must be finite, got {value}")
@@ -129,26 +145,26 @@ def parse_config(doc):
         if not (isinstance(dom, (list, tuple)) and len(dom) == 2):
             raise ConfigError("'domain' must be a two-element list [a, b]")
         a, b = (_number(x, "domain") for x in dom)
-        if b <= a:
-            raise ConfigError(f"'domain' must satisfy a < b, got [{a}, {b}]")
+        if not 0 < b - a < np.inf:
+            raise ConfigError(f"'domain' must satisfy a < b with b - a finite, "
+                              f"got [{a}, {b}]")
         L, x_left = b - a, a
     else:
         L, x_left = _number(_require(doc, "L", ""), "L", positive=True), 0.0
 
-    J = _require(doc, "J", "")
-    if not isinstance(J, int) or J < 6:
-        raise ConfigError(f"'J' must be an integer >= 6, got {J!r}")
+    J = _integer(_require(doc, "J", ""), "J", 6)
     tau = _number(_require(doc, "tau", ""), "tau", positive=True)
     T = _number(_require(doc, "T", ""), "T", positive=True)
 
-    p = _require(doc, "params", "")
+    p = _mapping(doc, "params", "")
     _check_known(p, {"alpha", "beta", "gamma", "lambda"}, "params.")
     trunc_doc = doc.get("truncation", "off")
     if trunc_doc == "off" or trunc_doc is None or trunc_doc is False:
         trunc = TruncationFamily.off()
     elif isinstance(trunc_doc, dict) and set(trunc_doc) == {"M"}:
+        M = _number(trunc_doc["M"], "truncation.M")
         try:
-            trunc = TruncationFamily.active(float(trunc_doc["M"]))
+            trunc = TruncationFamily.active(M)
         except ValueError as exc:
             raise ConfigError(f"truncation.M: {exc}") from exc
     else:
@@ -158,24 +174,23 @@ def parse_config(doc):
     params = ModelParams(**coef, trunc=trunc,
                          lam=_number(p.get("lambda", 1.0), "params.lambda"))
 
-    s = doc.get("solver", {})
+    s = _mapping(doc, "solver", "", {})
     _check_known(s, {"tol", "max_iter"}, "solver.")
     tol = _number(s.get("tol", 1e-6), "solver.tol", positive=True)
-    max_iter = int(s.get("max_iter", 50))
-    if max_iter < 1:
-        raise ConfigError(f"'solver.max_iter' must be >= 1, got {max_iter}")
+    max_iter = _integer(s.get("max_iter", 50), "solver.max_iter", 1)
 
-    init = _require(doc, "initial", "")
+    init = _mapping(doc, "initial", "")
     _check_known(init, {"traveling_wave", "file"}, "initial.")
     wave = initial_file = None
     if "traveling_wave" in init:
-        tw = init["traveling_wave"]
-        _check_known(tw, {"alpha", "omega", "x0"}, "initial.traveling_wave.")
+        path = "initial.traveling_wave."
+        tw = _mapping(init, "traveling_wave", "initial.")
+        _check_known(tw, {"alpha", "omega", "x0"}, path)
+        _require(tw, "alpha", path)
+        alpha, omega, x0 = (_number(tw.get(key, 0.0), path + key)
+                            for key in ("alpha", "omega", "x0"))
         try:
-            wave = TravelingWave(alpha=float(_require(tw, "alpha",
-                                                      "initial.traveling_wave.")),
-                                 omega=float(tw.get("omega", 0.0)),
-                                 x0=float(tw.get("x0", 0.0)))
+            wave = TravelingWave(alpha=alpha, omega=omega, x0=x0)
         except ValueError as exc:
             raise ConfigError(f"initial.traveling_wave: {exc}") from exc
     elif "file" in init:
@@ -183,11 +198,10 @@ def parse_config(doc):
     else:
         raise ConfigError("'initial' needs 'traveling_wave' or 'file'")
 
-    out = doc.get("outputs", {})
+    out = _mapping(doc, "outputs", "", {})
     _check_known(out, {"diagnostics", "errors", "sample_every"}, "outputs.")
-    sample_every = int(out.get("sample_every", 1))
-    if sample_every < 1:
-        raise ConfigError(f"'outputs.sample_every' must be >= 1, got {sample_every}")
+    sample_every = _integer(out.get("sample_every", 1), "outputs.sample_every",
+                            1)
 
     return RunConfig(L=L, x_left=x_left, J=J, tau=tau, T=T, params=params,
                      tol=tol, max_iter=max_iter, wave=wave,

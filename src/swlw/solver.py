@@ -90,19 +90,26 @@ def _mul(P, Q):
 class _CyclicReduction:
     """Odd-even cyclic reduction of the matrix with diagonals ``bands``
     (offsets -k..k, k = 1, 2) as block-tridiagonal k x k blocks, topped with
-    identity rows to 2**L - 1 block rows.  Each level eliminates its even
-    rows with the pivots inverted in closed form: Gaussian elimination on a
-    red-black symmetric permutation, which keeps a positive definite
-    symmetric part and row diagonal dominance, so no pivoting is needed.
-    A pivot with |det| < floor**k, floor relative to max |A_ij|, raises."""
+    decoupled diagonal rows to 2**L - 1 block rows.  Each level eliminates
+    its even rows with the pivots inverted in closed form: Gaussian
+    elimination on a red-black symmetric permutation, which keeps a
+    positive definite symmetric part and row diagonal dominance, so no
+    pivoting is needed.  A pivot with |det| < floor**k, floor relative to
+    max |A_ij|, raises."""
 
     def __init__(self, bands):
         k = len(bands) // 2
         n = len(bands[k])
         rows = k * (2 ** (-(-n // k)).bit_length() - 1)
         self.k, self.pad = k, rows - n
+        scale = max(np.abs(np.concatenate(bands)).max(), 1.0)
+        floor = _PIVOT_FLOOR * scale
         padded = np.zeros((2 * k + 1, rows), np.result_type(*bands))
-        padded[k, :self.pad] = 1.0
+        # the padding diagonal, a power of two in (scale/2, scale], clears
+        # the floor; A's rows meet it only through exact zeros, and scaling
+        # by a power of two is exact, so A's solution does not depend on it
+        padded[k, :self.pad] = (2.0 ** (np.frexp(scale)[1] - 1)
+                                if scale < np.inf else 1.0)
         blocks = np.zeros((3, k, k, rows // k), padded.dtype)
         for o, band in enumerate(bands, -k):
             # padded[o + k, r] = A[r, r + o]; for r = k*b + i that entry is
@@ -111,7 +118,6 @@ class _CyclicReduction:
             for i in range(k):
                 blocks[(o + i) // k + 1, i, (o + i) % k] = padded[o + k, i::k]
         lower, diag, upper = blocks
-        floor = _PIVOT_FLOOR * max(np.abs(blocks).max(), 1.0)
         self.levels = []
         while diag.shape[-1]:
             piv = diag[..., ::2]

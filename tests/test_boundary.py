@@ -2,8 +2,13 @@
 ``error:`` line naming the key), never as a traceback or a solver
 failure."""
 
+import copy
+
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swlw.cli import main
 from swlw.harness import ConfigError, parse_config
@@ -102,3 +107,92 @@ def test_nonfinite_numbers_name_their_key(old, new, key):
 def test_non_numeric_param_names_its_key():
     with pytest.raises(ConfigError, match="'params.beta'"):
         parse_config(BASE_YAML.replace("beta: -1.0", "beta: minus one"))
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("J: 16", "J: 16\noutputs: {sample_every: 2.5}", "'outputs.sample_every'"),
+    ("J: 16", "J: 16\noutputs: {sample_every: .nan}",
+     "'outputs.sample_every'"),
+    ("J: 16", "J: 16\noutputs: {sample_every: 0}", "'outputs.sample_every'"),
+    ("J: 16", "J: 16\noutputs: 5", "'outputs'"),
+    ("solver: {tol: 1.0e-8}", "solver: {tol: 1.0e-8, max_iter: 2.7}",
+     "'solver.max_iter'"),
+    ("solver: {tol: 1.0e-8}", "solver: {tol: 1.0e-8, max_iter: abc}",
+     "'solver.max_iter'"),
+    ("solver: {tol: 1.0e-8}", "solver: {tol: 1.0e-8, max_iter: true}",
+     "'solver.max_iter'"),
+    ("solver: {tol: 1.0e-8}", "solver: 5", "'solver'"),
+    ("  traveling_wave: {alpha: -0.0833333333333333, x0: 15.0}",
+     "  traveling_wave: 5", "'initial.traveling_wave'"),
+    ("x0: 15.0}", "x0: .nan}", "'initial.traveling_wave.x0'"),
+    ("x0: 15.0}", "x0: 15.0, omega: .inf}", "'initial.traveling_wave.omega'"),
+    ("{alpha: -0.0833333333333333, x0", "{alpha: .nan, x0",
+     "'initial.traveling_wave.alpha'"),
+    ("domain: [-20, 50]", "domain: [-1.0e308, 1.0e308]", "'domain'"),
+    ("J: 16", "J: 16\ntruncation: {M: [2]}", "'truncation.M'"),
+    ("J: 16", "J: 16\ntruncation: {M: .inf}", "'truncation.M'"),
+])
+def test_malformed_values_name_their_key(old, new, key):
+    assert old in BASE_YAML
+    with pytest.raises(ConfigError, match=key):
+        parse_config(BASE_YAML.replace(old, new))
+
+
+def test_params_not_a_mapping():
+    doc = yaml.safe_load(BASE_YAML)
+    doc["params"] = 5
+    with pytest.raises(ConfigError, match="'params'"):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("solver: {tol: 1.0e-8}", "solver: 5", "'solver'"),
+    ("solver: {tol: 1.0e-8}", "solver: {tol: 1.0e-8, max_iter: abc}",
+     "'solver.max_iter'"),
+    ("x0: 15.0}", "x0: .nan}", "'initial.traveling_wave.x0'"),
+    ("J: 16", "J: 16\noutputs: 5", "'outputs'"),
+])
+def test_malformed_values_exit_1_on_the_cli(tmp_path, capsys, old, new, key):
+    assert key in cli_error(tmp_path, capsys, BASE_YAML.replace(old, new))
+
+
+# any YAML-like value: what a malformed document can put at a key
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6)
+_BASE_DOC = yaml.safe_load(BASE_YAML + "outputs: {sample_every: 1}\n"
+                           "truncation: {M: 2.0}\n")
+_PATHS = sorted({(key,) for key in _BASE_DOC}
+                | {(key, sub) for key, value in _BASE_DOC.items()
+                   if isinstance(value, dict) for sub in value}
+                | {("initial", "traveling_wave", sub)
+                   for sub in ("alpha", "omega", "x0")}
+                | {("L",), ("initial", "file"), ("outputs", "errors"),
+                   ("bogus",)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(st.tuples(st.sampled_from(_PATHS),
+                                st.none() | _JUNK.map(lambda v: [v])),
+                      min_size=1, max_size=4))
+def test_parse_config_raises_only_config_error(edits):
+    doc = copy.deepcopy(_BASE_DOC)
+    for path, value in edits:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        if not isinstance(parent, dict):
+            continue
+        if value is None:
+            parent.pop(path[-1], None)  # a missing key
+        else:
+            parent[path[-1]] = value[0]
+    try:
+        cfg = parse_config(doc)
+    except ConfigError:
+        return
+    assert cfg.J >= 6 and cfg.max_iter >= 1 and cfg.sample_every >= 1
+    assert all(np.isfinite([cfg.L, cfg.x_left, cfg.tau, cfg.T, cfg.tol]))

@@ -3,10 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from swlw.grid import Grid
+from swlw.grid import ComplexGridFn, Grid, RealGridFn, sample
 from swlw.oracle import DECAY_THRESHOLD, TravelingWave, wave_speed
 
 
@@ -186,3 +188,43 @@ class TestGridSampling:
         ref = np.sqrt(quad(lambda x: abs(w.evaluate(x, 0.0)[0])**2,
                            -20, 50, limit=200)[0])
         assert norm_p(s.u, 2) == pytest.approx(ref, rel=1e-6)
+
+
+class TestArrayState:
+    """``TravelingWave.state`` evaluates the closed form once on the node
+    array; it must agree with the per-node definition through
+    ``grid.sample``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(alpha=st.floats(-1.0 / 6.0, 0.0),
+           omega=st.floats(-2.0, 2.0),
+           x0=st.floats(-50.0, 50.0),
+           t=st.floats(0.0, 5.0),
+           x_left=st.floats(-50.0, 50.0),
+           J=st.integers(6, 600),
+           L=st.floats(1.0, 100.0))
+    def test_matches_per_node_sampling(self, alpha, omega, x0, t, x_left, J,
+                                       L):
+        w = TravelingWave(alpha=alpha, omega=omega, x0=x0)
+        g = Grid(J, L)
+        s = w.state(g, t, x_left)
+        u = sample(lambda x: w.evaluate(x + x_left, t)[0], g,
+                   cls=ComplexGridFn)
+        v = sample(lambda x: w.evaluate(x + x_left, t)[1], g, cls=RealGridFn)
+        assert s.t == t
+        assert isinstance(s.u, ComplexGridFn) and isinstance(s.v, RealGridFn)
+        np.testing.assert_array_equal(s.u.values, u.values)
+        assert np.max(np.abs(s.v.values - v.values)) \
+            <= 2 * np.spacing(w.amplitude_v)
+        ghosts = [0, 1, J, J + 1]
+        assert not np.any(s.u.values[ghosts])
+        assert not np.any(s.v.values[ghosts])
+
+    def test_nonfinite_wave_names_first_node(self):
+        w = TravelingWave(alpha=-1.0 / 12.0, x0=math.nan)
+        g = Grid(20, 10.0)
+        with pytest.raises(ValueError, match=r"node j=2, x=") as ei:
+            w.state(g, 0.0)
+        assert f"x={g.x[2]}" in str(ei.value)
+        with pytest.raises(ValueError, match=r"node j=2,"):
+            w.initial_state(g, x_left=-5.0)

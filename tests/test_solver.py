@@ -176,6 +176,70 @@ class TestBandedSolvers:
                 <= 1e-12 * np.abs(ref).max()
 
 
+class TestLargeEntries:
+    """The identity rows that pad the reduction to 2**L - 1 (block) rows
+    must clear the pivot floor however large the matrix entries are."""
+
+    SIZES = [5] + [m + d for m in (8, 16, 64) for d in (-1, 0, 1)]
+
+    def test_scaled_tridiag_from_the_report(self):
+        sys_ = Tridiag(np.full(4, 1e15), np.full(5, 4e15), np.full(4, 1e15))
+        ref = np.linalg.solve(tridiag_dense(sys_), np.ones(5))
+        x = solve_tridiag(sys_, np.ones(5))
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_scaled_tridiag_matches_dense_oracle(self, n, complex_):
+        rng = np.random.default_rng(n)
+        t = diag_dominant_tridiag(rng, n, complex_=complex_)
+        sys_ = Tridiag(1e15 * t.lower, 1e15 * t.diag, 1e15 * t.upper)
+        b = rng.normal(size=n) + (1j * rng.normal(size=n) if complex_ else 0)
+        ref = np.linalg.solve(tridiag_dense(sys_), b)
+        x = solve_tridiag(sys_, b)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_scaled_penta_matches_dense_oracle(self, n):
+        rng = np.random.default_rng(n)
+        p = Pentadiag(*[1e15 * b for b in diag_dominant_penta(rng, n).bands])
+        b = rng.normal(size=n)
+        ref = np.linalg.solve(penta_dense(p), b)
+        x = p.solve(b)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("scale", [1.0, 1e15])
+    def test_singular_names_a_row_of_the_matrix(self, n, scale):
+        rng = np.random.default_rng(n)
+        row = n // 2
+        t = diag_dominant_tridiag(rng, n)
+        t.diag[row] = t.lower[row - 1] = 0.0
+        if row < n - 1:
+            t.upper[row] = 0.0
+        with pytest.raises(SingularSystemError) as ei:
+            solve_tridiag(Tridiag(scale * t.lower, scale * t.diag,
+                                  scale * t.upper), np.ones(n))
+        assert ei.value.row == row
+        p = Pentadiag(*[scale * b for b in diag_dominant_penta(rng, n).bands])
+        p.d0[row] = p.dm1[row - 1] = p.dm2[row - 2] = 0.0
+        p.dp1[row] = p.dp2[row] = 0.0
+        with pytest.raises(SingularSystemError) as ei:
+            p.factor()
+        assert ei.value.row == row
+
+    def test_run_with_huge_long_wave_is_not_blamed_on_a_pivot(self):
+        # the CN matrix carries alpha * 1e100 on its diagonal; its padding
+        # rows used to fail the floor and were reported as row -1
+        g = Grid(16, 1.0)
+        bump = np.sin(np.pi * g.x / g.L)
+        s = State(0.0, ComplexGridFn(g, bump), RealGridFn(g, 1e100 * bump))
+        params = TravelingWave(alpha=-1.0 / 12.0).model_params()
+        u, _ = schrodinger_update(s.u, s.v, params,
+                                  SolverConfig(tau=1e-3, T=1.0, tol=1e-8))
+        assert np.all(np.isfinite(u.values))
+
+
 class TestHardSystems:
     """The systems the stepper itself solves at J = 4000, tau = 1e-4.
 
