@@ -186,9 +186,9 @@ def parse_config(doc):
         path = "initial.traveling_wave."
         tw = _mapping(init, "traveling_wave", "initial.")
         _check_known(tw, {"alpha", "omega", "x0"}, path)
-        _require(tw, "alpha", path)
-        alpha, omega, x0 = (_number(tw.get(key, 0.0), path + key)
-                            for key in ("alpha", "omega", "x0"))
+        alpha = _number(_require(tw, "alpha", path), path + "alpha")
+        omega, x0 = (_number(tw.get(key, 0.0), path + key)
+                     for key in ("omega", "x0"))
         try:
             wave = TravelingWave(alpha=alpha, omega=omega, x0=x0)
         except ValueError as exc:

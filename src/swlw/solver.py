@@ -23,6 +23,7 @@ when the discrete L2 norm of the update increment drops below the
 configured tolerance.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,7 +109,7 @@ class _CyclicReduction:
         # the padding diagonal, a power of two in (scale/2, scale], clears
         # the floor; A's rows meet it only through exact zeros, and scaling
         # by a power of two is exact, so A's solution does not depend on it
-        padded[k, :self.pad] = (2.0 ** (np.frexp(scale)[1] - 1)
+        padded[k, :self.pad] = (2.0 ** (math.frexp(scale)[1] - 1)
                                 if scale < np.inf else 1.0)
         blocks = np.zeros((3, k, k, rows // k), padded.dtype)
         for o, band in enumerate(bands, -k):
