@@ -83,90 +83,96 @@ class Tridiag:
             raise ValueError("inconsistent band lengths")
 
 
-def _mul(P, Q):
-    """Blockwise products of two stacks of blocks stored as (k, ., m)."""
-    return P * Q if len(P) == 1 else np.einsum("ijm,jlm->ilm", P, Q)
+# entry (i, j) of block (b, b + t - 1) is A[2b + i, 2b + 2t - 2 + j], kept in
+# row 2t + j - i (its offset + 2) of the padded bands; row -1 is zero
+_T, _I, _J = np.ogrid[:3, :2, :2]
+_BLOCK_ROWS = 2 * _T + _J - _I
+# minus the adjugate of a 2 x 2 block is its reversed transpose times _SIGN
+_SIGN = np.array([[-1.0, 1.0], [1.0, -1.0]])[..., None]
 
 
 class _CyclicReduction:
     """Odd-even cyclic reduction of the matrix with diagonals ``bands``
-    (offsets -k..k, k = 1, 2) as block-tridiagonal k x k blocks, topped with
-    decoupled diagonal rows to 2**L - 1 block rows.  Each level eliminates
-    its even rows with the pivots inverted in closed form: Gaussian
-    elimination on a red-black symmetric permutation, which keeps a
-    positive definite symmetric part and row diagonal dominance, so no
-    pivoting is needed.  A pivot with |det| < floor**k, floor relative to
-    max |A_ij|, raises."""
+    (offsets -k..k) as block-tridiagonal k x k blocks (k = 1: 1-D bands,
+    k = 2: (2, 2, m) stacks), topped with identity rows to 2**L - 1 block
+    rows.  Each level eliminates its even rows with the pivots inverted in
+    closed form: Gaussian elimination on a red-black symmetric permutation,
+    which keeps a positive definite symmetric part and row diagonal
+    dominance, so no pivoting is needed.  A and b are scaled by 1/p, p the
+    power of two in (scale/2, scale], scale = max(max |A_ij|, 1): exact,
+    and 2 x 2 determinants stay finite.  One test after the reduction finds
+    the pivots with |det| < floor**k, floor relative to scale; the first
+    level with one raises unless it has a NaN too.  A non-finite A passes."""
 
     def __init__(self, bands):
         k = len(bands) // 2
         n = len(bands[k])
         rows = k * (2 ** (-(-n // k)).bit_length() - 1)
-        self.k, self.pad = k, rows - n
-        scale = max(np.abs(np.concatenate(bands)).max(), 1.0)
-        floor = _PIVOT_FLOOR * scale
-        padded = np.zeros((2 * k + 1, rows), np.result_type(*bands))
-        # the padding diagonal, a power of two in (scale/2, scale], clears
-        # the floor; A's rows meet it only through exact zeros, and scaling
-        # by a power of two is exact, so A's solution does not depend on it
-        padded[k, :self.pad] = (2.0 ** (math.frexp(scale)[1] - 1)
-                                if scale < np.inf else 1.0)
-        blocks = np.zeros((3, k, k, rows // k), padded.dtype)
+        self.pad = rows - n
+        padded = np.zeros((2 * k + 2, rows), np.result_type(1.0, *bands))
         for o, band in enumerate(bands, -k):
-            # padded[o + k, r] = A[r, r + o]; for r = k*b + i that entry is
-            # (i, j) of block (b, b + t - 1), t - 1 = (o + i) // k
+            # padded[o + k, r] = A[r, r + o]
             padded[o + k, self.pad + max(-o, 0):rows - max(o, 0)] = band
-            for i in range(k):
-                blocks[(o + i) // k + 1, i, (o + i) % k] = padded[o + k, i::k]
-        lower, diag, upper = blocks
-        self.levels = []
-        while diag.shape[-1]:
-            piv = diag[..., ::2]
-            if k == 1:
-                det, nadj = piv[0], -1.0
-            else:
-                det = piv[0, 0] * piv[1, 1] - piv[0, 1] * piv[1, 0]
-                nadj = np.array([[-piv[1, 1], piv[0, 1]],
-                                 [piv[1, 0], -piv[0, 0]]])
-            # a non-finite matrix is not singular: the caller sees its
-            # non-finite solution and reports a blow-up
-            if floor < np.inf and np.abs(det).min() < floor**k:
-                # pivot q of level l is block row 2**l * (2q + 1) - 1; a
-                # 2 x 2 pivot names its second row if its first is clear
-                q = np.flatnonzero(np.abs(det) < floor**k)[0]
-                row = k * (2**len(self.levels) * (2 * q + 1) - 1) - self.pad
-                second = k > 1 and abs(piv[0, 0, q]) >= floor
-                raise SingularSystemError(int(row + second))
-            ninv = nadj / det  # minus the inverse pivots
-            lo, up = lower[..., ::2], upper[..., ::2]
-            alpha = _mul(lower[..., 1::2], ninv[..., :-1])
-            beta = _mul(upper[..., 1::2], ninv[..., 1:])
-            self.levels.append((ninv, lo, up, alpha, beta))
-            lower = _mul(alpha, lo[..., :-1])
-            diag = (diag[..., 1::2] + _mul(alpha, up[..., :-1])
-                    + _mul(beta, lo[..., 1:]))
-            upper = _mul(beta, up[..., 1:])
+        scale = max(np.abs(padded).max(), 1.0)
+        self.inv_p = 2.0 ** (1 - math.frexp(scale)[1])
+        padded *= self.inv_p
+        padded[k, :self.pad] = 1.0
+        floor = _PIVOT_FLOOR * scale * self.inv_p
+        if k == 1:
+            lower, diag, upper = padded[:3]
+            self.mul, self.rhs_shape = np.multiply, (-1,)
+        else:
+            lower, diag, upper = padded.reshape(6, -1, 2)[_BLOCK_ROWS, :, _I]
+            self.rhs_shape = (-1, 1, 2)
+            self.mul = lambda P, Q: np.einsum("ijm,jlm->ilm", P, Q)
+        mul = self.mul
+        self.levels, pivs, dets = [], [], []
+        with np.errstate(all="ignore"):  # zero pivots: tested below
+            while diag.shape[-1]:
+                pivs.append(piv := diag[..., ::2])
+                if k == 1:
+                    det, ninv = piv, -1.0 / piv  # minus the inverse pivots
+                else:
+                    det = piv[0, 0] * piv[1, 1] - piv[0, 1] * piv[1, 0]
+                    ninv = piv[::-1, ::-1].swapaxes(0, 1) * _SIGN / det
+                dets.append(det)
+                lo, up = lower[..., ::2], upper[..., ::2]
+                alpha = mul(lower[..., 1::2], ninv[..., :-1])
+                beta = mul(upper[..., 1::2], ninv[..., 1:])
+                self.levels.append((ninv, lo, up, alpha, beta))
+                lower = mul(alpha, lo[..., :-1])
+                diag = (diag[..., 1::2] + mul(alpha, up[..., :-1])
+                        + mul(beta, lo[..., 1:]))
+                upper = mul(beta, up[..., 1:])
+        small = floor**k
+        if floor < np.inf and (np.abs(np.concatenate(dets)) < small).any():
+            for level, (piv, det) in enumerate(zip(pivs, dets)):
+                if np.abs(det).min() < small:  # NaN if the level has one
+                    # pivot q of level l is block row 2**l * (2q + 1) - 1; a
+                    # 2 x 2 pivot names its second row if its first is clear
+                    q = np.flatnonzero(np.abs(det) < small)[0]
+                    row = k * (2**level * (2 * q + 1) - 1) - self.pad
+                    second = k > 1 and abs(piv[0, 0, q]) >= floor
+                    raise SingularSystemError(int(row + second))
 
     def solve(self, b):
-        f = np.concatenate((np.zeros(self.pad, b.dtype), b))
-        x = _cr_solve(self.levels, f.reshape(-1, self.k).T[:, None])
-        return x[:, 0].T.ravel()[self.pad:]
-
-
-def _cr_solve(levels, f):
-    """Solve for f stored as (k, 1, m), with the remaining ``levels``."""
-    if not levels:
-        return f
-    ninv, lo, up, alpha, beta = levels[0]
-    x = _cr_solve(levels[1:], f[..., 1::2] + _mul(alpha, f[..., :-1:2])
-                  + _mul(beta, f[..., 2::2]))
-    # x fills the odd slots inside a zero border, so that the left and
-    # right neighbours of the pivot rows are plain slices
-    xn = np.zeros(f.shape[:-1] + (f.shape[-1] + 2,), np.result_type(ninv, f))
-    xn[..., 2:-1:2] = x
-    xn[..., 1::2] = _mul(ninv, _mul(lo, xn[..., :-1:2])
-                         + _mul(up, xn[..., 2::2]) - f[..., ::2])
-    return xn[..., 1:-1]
+        mul = self.mul
+        f = np.concatenate((np.zeros(self.pad, b.dtype), b * self.inv_p))
+        rhs = [f.reshape(self.rhs_shape).T]
+        for _, _, _, alpha, beta in self.levels:
+            f = rhs[-1]
+            rhs.append(f[..., 1::2] + mul(alpha, f[..., :-1:2])
+                       + mul(beta, f[..., 2::2]))
+        x = rhs.pop()
+        for (ninv, lo, up, _, _), f in zip(self.levels[::-1], rhs[::-1]):
+            # x fills the odd slots inside a zero border, so that the left
+            # and right neighbours of the pivot rows are plain slices
+            xn = np.zeros(f.shape[:-1] + (f.shape[-1] + 2,), x.dtype)
+            xn[..., 2:-1:2] = x
+            xn[..., 1::2] = mul(ninv, mul(lo, xn[..., :-1:2])
+                                + mul(up, xn[..., 2::2]) - f[..., ::2])
+            x = xn[..., 1:-1]
+        return x.T.ravel()[self.pad:]
 
 
 def solve_tridiag(system, rhs):
@@ -217,24 +223,25 @@ def schrodinger_update(u_n, v_n, params, cfg):
     """
     g = u_n.grid
     a = g.active
-    n = g.J - 2
     u = u_n.values
-    if not np.any(u[a]):
+    ua = u[a]
+    if not np.any(ua):
         return ComplexGridFn.zeros(g), 1
     h2 = g.h**2
-    tau = cfg.tau
-    gv = params.trunc.coupling(v_n.values[a])
-    off = np.full(n - 1, 0.5 / h2, dtype=np.complex128)
+    agv = params.alpha * params.trunc.coupling(v_n.values[a])
+    off = np.full(g.J - 3, 0.5 / h2, dtype=np.complex128)
 
     lap_u = (u[3:g.J + 1] - 2.0 * u[2:g.J] + u[1:g.J - 1]) / h2
+    diag0 = 1j / cfg.tau - 1.0 / h2
+    rhs0 = 1j / cfg.tau * ua - 0.5 * lap_u
 
-    w = u[a].copy()  # warm start: previous time level
+    w = ua.copy()  # warm start: previous time level
     residuals = []
     for it in range(1, cfg.max_iter + 1):
-        mid = 0.5 * (w + u[a])
-        q = params.beta * np.abs(mid)**2 + params.alpha * gv
-        diag = 1j / tau - 1.0 / h2 - 0.5 * q
-        rhs_vec = 1j / tau * u[a] - 0.5 * lap_u + 0.5 * q * u[a]
+        mid = 0.5 * (w + ua)
+        q = params.beta * np.abs(mid)**2 + agv
+        diag = diag0 - 0.5 * q
+        rhs_vec = rhs0 + 0.5 * q * ua
         w_new = solve_tridiag(Tridiag(off, diag, off), rhs_vec)
         incr = float(np.sqrt(g.h * np.sum(np.abs(w_new - w)**2)))
         residuals.append(incr)

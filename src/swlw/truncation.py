@@ -17,7 +17,8 @@ continuous for the Jacobian).
 ``TruncationFamily.off()`` is the untruncated system: flux v^2, coupling v,
 antiderivative v^3/3.  For inputs that never exceed M, the active family
 evaluates to exactly the same floating-point values as the off family.
-All evaluators accept scalars or numpy arrays.
+All evaluators accept scalars or numpy arrays; they use products and
+Horner's rule, not powers, so that an array entry rounds as a scalar does.
 """
 
 import numpy as np
@@ -36,16 +37,10 @@ def _smoothstep_prime(t):
     return np.where(inside, 30.0 * t * t * (1.0 + t * (-2.0 + t)), 0.0)
 
 
-def _smoothstep_second(t):
-    inside = (t > 0.0) & (t < 1.0)
-    t = np.clip(t, 0.0, 1.0)
-    return np.where(inside, 60.0 * t * (1.0 + t * (-3.0 + 2.0 * t)), 0.0)
-
-
 # antiderivative of (1 - s): q(t) = t - 2.5 t^4 + 3 t^5 - t^6, q(1) = 1/2
 def _ramp_integral(t):
     t = np.clip(t, 0.0, 1.0)
-    return t + t**4 * (-2.5 + t * (3.0 - t))
+    return t + t * t * (t * t) * (-2.5 + t * (3.0 - t))
 
 
 class TruncationFamily:
@@ -97,7 +92,7 @@ class TruncationFamily:
         """
         v = np.asarray(v, dtype=np.float64)
         quad = v * v
-        if self.M is None:
+        if self.M is None or np.abs(v).max(initial=0.0) <= self.M:
             return quad[()] if quad.ndim == 0 else quad
         M = self.M
         a = np.abs(v)
@@ -109,7 +104,7 @@ class TruncationFamily:
         """Derivative of ``flux``; odd, equal to 2v on |v| <= M."""
         v = np.asarray(v, dtype=np.float64)
         lin = 2.0 * v
-        if self.M is None:
+        if self.M is None or np.abs(v).max(initial=0.0) <= self.M:
             return lin[()] if lin.ndim == 0 else lin
         M = self.M
         w = M * M + 1.0 - M
@@ -133,7 +128,7 @@ class TruncationFamily:
         """
         v = np.asarray(v, dtype=np.float64)
         cube = v * v * v / 3.0
-        if self.M is None:
+        if self.M is None or np.abs(v).max(initial=0.0) <= self.M:
             return cube[()] if cube.ndim == 0 else cube
         M = self.M
         top = M * M + 1.0
@@ -153,7 +148,7 @@ class TruncationFamily:
         """Saturated identity: v on |v| <= M, the plateau sign(v) 3M/2
         beyond 2M, a unit-slope ramp eased by the smoothstep in between."""
         v = np.asarray(v, dtype=np.float64)
-        if self.M is None:
+        if self.M is None or np.abs(v).max(initial=0.0) <= self.M:
             return v[()] if v.ndim == 0 else v.copy()
         M = self.M
         a = np.abs(v)
@@ -165,7 +160,7 @@ class TruncationFamily:
     def coupling_prime(self, v):
         """Derivative of ``coupling``: 1 inside, 0 past 2M, in [0, 1]."""
         v = np.asarray(v, dtype=np.float64)
-        if self.M is None:
+        if self.M is None or np.abs(v).max(initial=0.0) <= self.M:
             out = np.ones_like(v)
             return out[()] if out.ndim == 0 else out
         M = self.M
@@ -176,7 +171,7 @@ class TruncationFamily:
     def coupling_second(self, v):
         """Second derivative of ``coupling``; zero inside and past 2M."""
         v = np.asarray(v, dtype=np.float64)
-        if self.M is None:
+        if self.M is None or np.abs(v).max(initial=0.0) <= self.M:
             out = np.zeros_like(v)
             return out[()] if out.ndim == 0 else out
         M = self.M
@@ -205,6 +200,4 @@ def _blend_flux_integral(t, M, w):
     prod = np.convolve(s_coef, diff)            # degree 7
     poly[:len(prod)] += prod
     anti = poly / np.arange(1, 10)              # term r^k -> r^{k+1}/(k+1)
-    t = np.asarray(t, dtype=np.float64)
-    powers = t[..., None] ** np.arange(1, 10)
-    return powers @ anti
+    return t * np.polyval(anti[::-1], t)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,16 @@ def diag_dominant_tridiag(rng, n, complex_=False):
                                               + np.abs(up).max(initial=0)
                                               + 1.0)
     return Tridiag(lo, d, up)
+
+
+def zero_row(bands, row):
+    """Copies of the diagonals (offsets -k..k) with row ``row`` zeroed."""
+    k = len(bands) // 2
+    bands = [np.array(b) for b in bands]
+    for o, band in enumerate(bands, -k):
+        if 0 <= row + min(o, 0) < len(band):
+            band[row + min(o, 0)] = 0.0
+    return bands
 
 
 def diag_dominant_penta(rng, n):
@@ -238,6 +250,81 @@ class TestLargeEntries:
         u, _ = schrodinger_update(s.u, s.v, params,
                                   SolverConfig(tau=1e-3, T=1.0, tol=1e-8))
         assert np.all(np.isfinite(u.values))
+
+
+class TestNormalizedReduction:
+    """The reduction divides the matrix and the right-hand side by a power
+    of two near max |A_ij|, so 2 x 2 determinants stay finite at any
+    scale, and it tests the pivots of all levels at once, at the end."""
+
+    @pytest.mark.parametrize("n", [9, 64, 65])
+    @pytest.mark.parametrize("scale", [1e160, 1e170, 1e300])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_huge_entries_match_dense_oracle(self, n, scale, complex_):
+        rng = np.random.default_rng(n)
+        t = diag_dominant_tridiag(rng, n, complex_=complex_)
+        sys_ = Tridiag(scale * t.lower, scale * t.diag, scale * t.upper)
+        b = rng.normal(size=n) + (1j * rng.normal(size=n) if complex_ else 0)
+        ref = np.linalg.solve(tridiag_dense(sys_), b)
+        x = solve_tridiag(sys_, b)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.abs(ref).max()
+        bands = diag_dominant_penta(rng, n).bands
+        p = Pentadiag(*[scale * band for band in bands])
+        b = rng.normal(size=n)
+        ref = np.linalg.solve(penta_dense(p), b)
+        x = p.solve(b)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [9, 64, 65])
+    def test_zero_row_at_huge_scale_names_its_row(self, n):
+        rng = np.random.default_rng(n)
+        row = n // 2
+        t = diag_dominant_tridiag(rng, n)
+        bands = zero_row([1e200 * band for band in (t.lower, t.diag, t.upper)],
+                         row)
+        with pytest.raises(SingularSystemError) as ei:
+            solve_tridiag(Tridiag(*bands), np.ones(n))
+        assert ei.value.row == row
+        bands = [1e200 * band for band in diag_dominant_penta(rng, n).bands]
+        with pytest.raises(SingularSystemError) as ei:
+            Pentadiag(*zero_row(bands, row)).factor()
+        assert ei.value.row == row
+
+    @pytest.mark.parametrize("n", [7, 8, 15, 16, 31])
+    def test_zero_pivot_at_every_level_names_its_row(self, n):
+        # every row is the pivot of one level, and every level has a pivot
+        # in a row of the matrix; the zero pivot may leak no warning
+        rng = np.random.default_rng(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for row in range(n):
+                t = diag_dominant_tridiag(rng, n)
+                bands = zero_row([t.lower, t.diag, t.upper], row)
+                with pytest.raises(SingularSystemError) as ei:
+                    solve_tridiag(Tridiag(*bands), np.ones(n))
+                assert ei.value.row == row
+                p = diag_dominant_penta(rng, n)
+                with pytest.raises(SingularSystemError) as ei:
+                    Pentadiag(*zero_row(p.bands, row)).factor()
+                assert ei.value.row == row
+
+    @pytest.mark.parametrize("n", [7, 16])
+    def test_nan_entry_is_not_singular(self, n):
+        # also with a zero row elsewhere: the caller sees a non-finite
+        # solution and reports a blow-up, not a zero pivot
+        rng = np.random.default_rng(n)
+        for zeroed in (None, 1):
+            t = diag_dominant_tridiag(rng, n)
+            bands = [t.lower, t.diag, t.upper]
+            if zeroed is not None:
+                bands = zero_row(bands, zeroed)
+            bands[1][n - 2] = np.nan
+            assert np.isnan(solve_tridiag(Tridiag(*bands), np.ones(n))).any()
+            bands = diag_dominant_penta(rng, n).bands
+            if zeroed is not None:
+                bands = zero_row(bands, zeroed)
+            bands[2][n - 2] = np.nan
+            assert np.isnan(Pentadiag(*bands).solve(np.ones(n))).any()
 
 
 class TestHardSystems:

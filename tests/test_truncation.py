@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swlw.truncation import TruncationFamily
+
+EVALUATORS = ("flux", "flux_prime", "flux_antiderivative", "coupling",
+              "coupling_prime", "coupling_second")
 
 
 def fd_derivative(f, x, eps=1e-6):
@@ -59,6 +64,42 @@ class TestExactInsideLevel:
         for v in (3.0, -3.0):
             assert tr.flux(v) == off.flux(v)
             assert tr.coupling(v) == off.coupling(v)
+
+
+class TestPlainBranchProperty:
+    """Inputs with |v| <= M take the untruncated branch bit for bit, and
+    an array evaluates each entry as that entry alone would."""
+
+    @staticmethod
+    def same_bits(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.shape == b.shape and a.dtype == b.dtype \
+            and a.tobytes() == b.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(M=st.floats(1.0, 1e6),
+           fractions=st.lists(st.floats(-1.0, 1.0), max_size=30))
+    def test_bitwise_plain_at_and_below_the_level(self, M, fractions):
+        tr, off = TruncationFamily.active(M), TruncationFamily.off()
+        v = np.array([M, -M, 0.0, -0.0] + [M * f for f in fractions])
+        v = np.clip(v, -M, M)
+        for name in EVALUATORS:
+            f, g = getattr(tr, name), getattr(off, name)
+            assert self.same_bits(f(v), g(v)), name
+            for x in v:
+                assert self.same_bits(f(float(x)), g(float(x))), (name, x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(M=st.floats(1.0, 100.0),
+           multiples=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=30))
+    def test_mixed_array_entries_match_scalars(self, M, multiples):
+        tr = TruncationFamily.active(M)
+        v = np.array([M, -M] + [M * m for m in multiples])
+        for name in EVALUATORS:
+            f = getattr(tr, name)
+            out = f(v)
+            for x, y in zip(v, out):
+                assert self.same_bits(f(float(x)), y), (name, x)
 
 
 class TestFluxShape:
