@@ -104,7 +104,7 @@ def main(argv=None):
             for M, v_sup, active, diff in rows:
                 say(f"  M={M}: v_sup={v_sup:.4g} active={bool(active)} "
                     f"max_diff={diff:.3e}")
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except SolverFailure as exc:

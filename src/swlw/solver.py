@@ -7,23 +7,21 @@ Per time step tau, with the active unknowns j = 2..J-1:
   short wave   i (w - u^n)/tau + Lap_h m = beta |m|^2 m + alpha g(v^n) m,
                m = (w + u^n)/2.  The modulus |m|^2 is frozen from the
                previous inner iterate, so each inner solve is one linear
-               complex tridiagonal system (cyclic reduction).  At the
-               fixed point the scheme conserves ||u||_2 exactly; in
-               practice the per-step change is bounded by a small multiple
-               of the stopping tolerance.
+               complex tridiagonal system.  At the fixed point the scheme
+               conserves ||u||_2 exactly; in practice the per-step change
+               is bounded by a small multiple of the stopping tolerance.
 
   long wave    (w - v^n)/tau + D3 w + lam D0 f(w) = gamma D0 (g'(w) |u^n|^2)
                solved by Newton's method with the analytic pentadiagonal
-               Jacobian, regrouped into 2 x 2 blocks and solved by block
-               cyclic reduction without pivoting (the 1/tau shift keeps
-               the symmetric part positive definite).
+               Jacobian.  Both band systems are solved by LAPACK's band
+               LU with partial pivoting, from the library numpy links.
 
 Both inner iterations warm-start from the previous time level and stop
 when the discrete L2 norm of the update increment drops below the
 configured tolerance.
 """
 
-import math
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,114 +81,92 @@ class Tridiag:
             raise ValueError("inconsistent band lengths")
 
 
-# entry (i, j) of block (b, b + t - 1) is A[2b + i, 2b + 2t - 2 + j], kept in
-# row 2t + j - i (its offset + 2) of the padded bands; row -1 is zero
-_T, _I, _J = np.ogrid[:3, :2, :2]
-_BLOCK_ROWS = 2 * _T + _J - _I
-# minus the adjugate of a 2 x 2 block is its reversed transpose times _SIGN
-_SIGN = np.array([[-1.0, 1.0], [1.0, -1.0]])[..., None]
+# (prefix, suffix, integer type) of LAPACK's symbols in the library that
+# numpy.linalg links; the numpy >= 2 PyPI wheels have the first (ILP64)
+_LAPACK_NAMES = [("scipy_", "_64_", ctypes.c_int64),
+                 ("", "_64_", ctypes.c_int64), ("", "_", ctypes.c_int32)]
 
 
-class _CyclicReduction:
-    """Odd-even cyclic reduction of the matrix with diagonals ``bands``
-    (offsets -k..k) as block-tridiagonal k x k blocks (k = 1: 1-D bands,
-    k = 2: (2, 2, m) stacks), topped with identity rows to 2**L - 1 block
-    rows.  Each level eliminates its even rows with the pivots inverted in
-    closed form: Gaussian elimination on a red-black symmetric permutation,
-    which keeps a positive definite symmetric part and row diagonal
-    dominance, so no pivoting is needed.  A and b are scaled by 1/p, p the
-    power of two in (scale/2, scale], scale = max(max |A_ij|, 1): exact,
-    and 2 x 2 determinants stay finite.  One test after the reduction finds
-    the pivots with |det| < floor**k, floor relative to scale; the first
-    level with one raises unless it has a NaN too.  A non-finite A passes."""
+def _load_lapack():
+    """?gbtrf and ?gbtrs for float64 and complex128, and the integer type."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for prefix, suffix, int_t in _LAPACK_NAMES:
+        try:
+            routines = {np.dtype(t): [getattr(lib, prefix + c + r + suffix)
+                                      for r in ("gbtrf", "gbtrs")]
+                        for c, t in (("d", np.float64), ("z", np.complex128))}
+        except AttributeError:
+            continue
+        INT, PTR = ctypes.POINTER(int_t), ctypes.c_void_p
+        for trf, trs in routines.values():
+            trf.restype = trs.restype = None
+            trf.argtypes = [INT, INT, INT, INT, PTR, INT, PTR, INT]
+            # gbtrs ends with the hidden length of its character argument
+            trs.argtypes = [PTR, INT, INT, INT, INT, PTR, INT, PTR, PTR, INT,
+                            INT, ctypes.c_size_t]
+        return routines, int_t
+    tried = ", ".join(p + "dgbtrf" + s for p, s, _ in _LAPACK_NAMES)
+    raise ImportError(f"no LAPACK band LU in {lib._name} (tried {tried})")
 
-    def __init__(self, bands):
+
+_GB_ROUTINES, _LAPACK_INT = _load_lapack()
+
+
+class _BandLU:
+    """LAPACK band LU with partial pivoting (?gbtrf, ?gbtrs) of the matrix
+    with diagonals ``bands`` (offsets -k..k); inputs are copied, never
+    written.  Singular: an exact zero pivot, or a U pivot below the floor
+    _PIVOT_FLOOR * max |A_ij|.  The error names the first row of A whose
+    entries are all at most the floor, else the first small pivot.  A
+    non-finite matrix is never singular: it solves to NaN (a blow-up)."""
+
+    def __init__(self, bands, dtype=np.float64):
         k = len(bands) // 2
         n = len(bands[k])
-        rows = k * (2 ** (-(-n // k)).bit_length() - 1)
-        self.pad = rows - n
-        padded = np.zeros((2 * k + 2, rows), np.result_type(1.0, *bands))
+        dtype = np.result_type(np.float64, dtype, *bands)
+        trf, self.trs = _GB_ROUTINES[dtype]
+        # Fortran (3k + 1) x n storage: A[i, j] is ab[j, 2k + i - j]
+        self.ab = ab = np.zeros((n, 3 * k + 1), dtype)
         for o, band in enumerate(bands, -k):
-            # padded[o + k, r] = A[r, r + o]
-            padded[o + k, self.pad + max(-o, 0):rows - max(o, 0)] = band
-        scale = max(np.abs(padded).max(), 1.0)
-        self.inv_p = 2.0 ** (1 - math.frexp(scale)[1])
-        padded *= self.inv_p
-        padded[k, :self.pad] = 1.0
-        floor = _PIVOT_FLOOR * scale * self.inv_p
-        if k == 1:
-            lower, diag, upper = padded[:3]
-            self.mul, self.rhs_shape = np.multiply, (-1,)
-        else:
-            lower, diag, upper = padded.reshape(6, -1, 2)[_BLOCK_ROWS, :, _I]
-            self.rhs_shape = (-1, 1, 2)
-            self.mul = lambda P, Q: np.einsum("ijm,jlm->ilm", P, Q)
-        mul = self.mul
-        self.levels, pivs, dets = [], [], []
-        with np.errstate(all="ignore"):  # zero pivots: tested below
-            while diag.shape[-1]:
-                pivs.append(piv := diag[..., ::2])
-                if k == 1:
-                    det, ninv = piv, -1.0 / piv  # minus the inverse pivots
-                else:
-                    det = piv[0, 0] * piv[1, 1] - piv[0, 1] * piv[1, 0]
-                    ninv = piv[::-1, ::-1].swapaxes(0, 1) * _SIGN / det
-                dets.append(det)
-                lo, up = lower[..., ::2], upper[..., ::2]
-                alpha = mul(lower[..., 1::2], ninv[..., :-1])
-                beta = mul(upper[..., 1::2], ninv[..., 1:])
-                self.levels.append((ninv, lo, up, alpha, beta))
-                lower = mul(alpha, lo[..., :-1])
-                diag = (diag[..., 1::2] + mul(alpha, up[..., :-1])
-                        + mul(beta, lo[..., 1:]))
-                upper = mul(beta, up[..., 1:])
-        small = floor**k
-        if floor < np.inf and (np.abs(np.concatenate(dets)) < small).any():
-            for level, (piv, det) in enumerate(zip(pivs, dets)):
-                if np.abs(det).min() < small:  # NaN if the level has one
-                    # pivot q of level l is block row 2**l * (2q + 1) - 1; a
-                    # 2 x 2 pivot names its second row if its first is clear
-                    q = np.flatnonzero(np.abs(det) < small)[0]
-                    row = k * (2**level * (2 * q + 1) - 1) - self.pad
-                    second = k > 1 and abs(piv[0, 0, q]) >= floor
-                    raise SingularSystemError(int(row + second))
+            ab[max(o, 0):n + min(o, 0), 2 * k - o] = band
+        floor = _PIVOT_FLOOR * np.abs(ab).max()
+        self.n, self.k, self.ld = (_LAPACK_INT(v) for v in (n, k, 3 * k + 1))
+        self.ipiv, info = np.empty(n, _LAPACK_INT), _LAPACK_INT()
+        trf(self.n, self.n, self.k, self.k, ab.ctypes.data, self.ld,
+            self.ipiv.ctypes.data, info)
+        small = np.abs(ab[:, 2 * k]) < floor
+        if np.isfinite(floor) and (info.value > 0 or small.any()):
+            big = np.zeros(n, bool)
+            for o, band in enumerate(bands, -k):
+                big[max(-o, 0):n - max(o, 0)] |= np.abs(band) > floor
+            rows = np.flatnonzero(~big)
+            raise SingularSystemError(int(rows[0] if len(rows)
+                                          else np.argmax(small)))
 
     def solve(self, b):
-        mul = self.mul
-        f = np.concatenate((np.zeros(self.pad, b.dtype), b * self.inv_p))
-        rhs = [f.reshape(self.rhs_shape).T]
-        for _, _, _, alpha, beta in self.levels:
-            f = rhs[-1]
-            rhs.append(f[..., 1::2] + mul(alpha, f[..., :-1:2])
-                       + mul(beta, f[..., 2::2]))
-        x = rhs.pop()
-        for (ninv, lo, up, _, _), f in zip(self.levels[::-1], rhs[::-1]):
-            # x fills the odd slots inside a zero border, so that the left
-            # and right neighbours of the pivot rows are plain slices
-            xn = np.zeros(f.shape[:-1] + (f.shape[-1] + 2,), x.dtype)
-            xn[..., 2:-1:2] = x
-            xn[..., 1::2] = mul(ninv, mul(lo, xn[..., :-1:2])
-                                + mul(up, xn[..., 2::2]) - f[..., ::2])
-            x = xn[..., 1:-1]
-        return x.T.ravel()[self.pad:]
+        x, info = np.array(b, self.ab.dtype), _LAPACK_INT()
+        self.trs(b"N", self.n, self.k, self.k, _LAPACK_INT(1),
+                 self.ab.ctypes.data, self.ld, self.ipiv.ctypes.data,
+                 x.ctypes.data, self.n, info, 1)
+        return x
 
 
 def solve_tridiag(system, rhs):
-    """Cyclic-reduction solve without pivoting; raises on a vanishing pivot."""
+    """Band LU solve with partial pivoting; raises on a vanishing pivot."""
     b = np.asarray(rhs)
     if len(b) != len(system.diag):
         raise ValueError("rhs length mismatch")
     bands = (system.lower, system.diag, system.upper)
-    return _CyclicReduction([np.asarray(a) for a in bands]).solve(b)
+    return _BandLU([np.asarray(a) for a in bands], b.dtype).solve(b)
 
 
 class Pentadiag:
-    """Real pentadiagonal system (offsets -2..+2), solved as 2 x 2 blocks.
+    """Real pentadiagonal system (offsets -2..+2), solved by band LU.
 
     Diagonals are stored by offset: ``dm2[i] = A[i+2, i]``,
     ``dm1[i] = A[i+1, i]``, ``d0[i] = A[i, i]``, ``dp1[i] = A[i, i+1]``,
-    ``dp2[i] = A[i, i+2]``.  ``factor`` reduces without pivoting (callers
-    guarantee the diagonal shift makes this safe) and caches the result.
+    ``dp2[i] = A[i, i+2]``.  ``factor`` runs LAPACK's band LU with partial
+    pivoting once and caches the result.
     """
 
     def __init__(self, dm2, dm1, d0, dp1, dp2):
@@ -203,17 +179,16 @@ class Pentadiag:
         self.factored = False
 
     def factor(self):
-        """Cyclic-reduction factorization, cached; idempotent."""
+        """Band LU factorization, cached; idempotent."""
         if not self.factored:
-            self._cr = _CyclicReduction(self.bands)
+            self._lu = _BandLU(self.bands)
             self.factored = True
         return self
 
     def solve(self, rhs):
-        b = np.asarray(rhs, dtype=np.float64)
-        if len(b) != self.n:
+        if len(rhs) != self.n:
             raise ValueError("rhs length mismatch")
-        return self.factor()._cr.solve(b)
+        return self.factor()._lu.solve(rhs)
 
 
 def schrodinger_update(u_n, v_n, params, cfg):
@@ -295,7 +270,6 @@ def kdv_update(v_n, u_n, params, cfg):
         r = _kdv_residual(w, vn, usq, params, tau, g)
         jac = kdv_jacobian(w, usq, params, tau, g)
         delta = jac.solve(-r)
-        w = w.copy()
         w[a] += delta
         incr = float(np.sqrt(g.h * np.sum(delta**2)))
         residuals.append(incr)

@@ -196,3 +196,21 @@ def test_parse_config_raises_only_config_error(edits):
         return
     assert cfg.J >= 6 and cfg.max_iter >= 1 and cfg.sample_every >= 1
     assert all(np.isfinite([cfg.L, cfg.x_left, cfg.tau, cfg.T, cfg.tol]))
+
+
+@pytest.mark.parametrize("case", ["config", "initial_file", "output_dir"])
+def test_file_system_errors_exit_1(tmp_path, capsys, case):
+    # a directory where a file is read, or a file where a directory is made
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(BASE_YAML if case != "initial_file" else BASE_YAML.replace(
+        "  traveling_wave: {alpha: -0.0833333333333333, x0: 15.0}",
+        f"  file: {tmp_path}"))
+    out = tmp_path / "out"
+    if case == "output_dir":
+        out.write_text("")
+    code = main(["run", str(tmp_path if case == "config" else cfg),
+                 "--output-dir", str(out), "--quiet"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.out + captured.err

@@ -1,3 +1,4 @@
+import ctypes
 import warnings
 
 import numpy as np
@@ -119,8 +120,7 @@ class TestBandedSolvers:
             Pentadiag(np.zeros(3), np.zeros(3), np.zeros(5),
                       np.zeros(4), np.zeros(3))
 
-    # the reduction pads to 2**L - 1 (block) rows: cover both sides of
-    # each padding edge as well as the smallest systems
+    # the smallest systems, and both sides of a few powers of two
     EDGE_SIZES = list(range(1, 10)) + [m + d for m in (16, 32, 64)
                                        for d in (-1, 0, 1)]
 
@@ -189,8 +189,8 @@ class TestBandedSolvers:
 
 
 class TestLargeEntries:
-    """The identity rows that pad the reduction to 2**L - 1 (block) rows
-    must clear the pivot floor however large the matrix entries are."""
+    """The pivot floor is relative to the largest entry, so well-posed
+    systems with large entries solve, and a zero row names its row."""
 
     SIZES = [5] + [m + d for m in (8, 16, 64) for d in (-1, 0, 1)]
 
@@ -241,8 +241,7 @@ class TestLargeEntries:
         assert ei.value.row == row
 
     def test_run_with_huge_long_wave_is_not_blamed_on_a_pivot(self):
-        # the CN matrix carries alpha * 1e100 on its diagonal; its padding
-        # rows used to fail the floor and were reported as row -1
+        # the CN matrix carries alpha * 1e100 on its diagonal
         g = Grid(16, 1.0)
         bump = np.sin(np.pi * g.x / g.L)
         s = State(0.0, ComplexGridFn(g, bump), RealGridFn(g, 1e100 * bump))
@@ -253,9 +252,8 @@ class TestLargeEntries:
 
 
 class TestNormalizedReduction:
-    """The reduction divides the matrix and the right-hand side by a power
-    of two near max |A_ij|, so 2 x 2 determinants stay finite at any
-    scale, and it tests the pivots of all levels at once, at the end."""
+    """Entries up to 1e300 solve; a zero row names its row at any scale and
+    position; a NaN entry gives a NaN solution, never a zero pivot."""
 
     @pytest.mark.parametrize("n", [9, 64, 65])
     @pytest.mark.parametrize("scale", [1e160, 1e170, 1e300])
@@ -292,8 +290,7 @@ class TestNormalizedReduction:
 
     @pytest.mark.parametrize("n", [7, 8, 15, 16, 31])
     def test_zero_pivot_at_every_level_names_its_row(self, n):
-        # every row is the pivot of one level, and every level has a pivot
-        # in a row of the matrix; the zero pivot may leak no warning
+        # a zero row at each position names that row and leaks no warning
         rng = np.random.default_rng(n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -327,14 +324,64 @@ class TestNormalizedReduction:
             assert np.isnan(Pentadiag(*bands).solve(np.ones(n))).any()
 
 
+class TestInputsUntouched:
+    """The band solves copy the bands and the right-hand side: read-only
+    inputs, such as GridFn values, solve and stay bitwise unchanged."""
+
+    @staticmethod
+    def frozen(*arrays):
+        out = [np.array(a) for a in arrays]
+        for a in out:
+            a.setflags(write=False)
+        return out
+
+    @pytest.mark.parametrize("n", [2, 9, 64])
+    def test_read_only_inputs_solve_and_stay_unchanged(self, n):
+        rng = np.random.default_rng(n)
+        for complex_ in (False, True):
+            t = diag_dominant_tridiag(rng, n, complex_=complex_)
+            b = rng.normal(size=n) + (1j * rng.normal(size=n)
+                                      if complex_ else 0)
+            inputs = self.frozen(t.lower, t.diag, t.upper, b)
+            before = [a.tobytes() for a in inputs]
+            x = solve_tridiag(Tridiag(*inputs[:3]), inputs[3])
+            ref = np.linalg.solve(tridiag_dense(t), b)
+            assert np.max(np.abs(x - ref)) <= 1e-12 * np.abs(ref).max()
+            assert [a.tobytes() for a in inputs] == before
+        inputs = self.frozen(*diag_dominant_penta(rng, n).bands,
+                             rng.normal(size=n))
+        before = [a.tobytes() for a in inputs]
+        p = Pentadiag(*inputs[:5]).factor()
+        x = p.solve(inputs[5])
+        ref = np.linalg.solve(penta_dense(p), inputs[5])
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.abs(ref).max()
+        assert p.solve(inputs[5]).tobytes() == x.tobytes()
+        assert [a.tobytes() for a in inputs] == before
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 64])
+    def test_real_bands_with_complex_rhs(self, n):
+        rng = np.random.default_rng(n)
+        t = diag_dominant_tridiag(rng, n)
+        b = rng.normal(size=n) + 1j * rng.normal(size=n)
+        ref = np.linalg.solve(tridiag_dense(t), b)
+        x = solve_tridiag(t, b)
+        assert np.iscomplexobj(x)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.abs(ref).max()
+
+
+def test_missing_lapack_names_what_was_tried(monkeypatch):
+    monkeypatch.setattr(solver, "_LAPACK_NAMES",
+                        [("no_such_", "_", ctypes.c_int32)])
+    with pytest.raises(ImportError, match="no_such_dgbtrf_"):
+        solver._load_lapack()
+
+
 class TestHardSystems:
     """The systems the stepper itself solves at J = 4000, tau = 1e-4.
 
     There 1/tau = 1e4 while 1/(2h^3) is about 9.3e4, so the KdV Jacobian
-    is far from diagonally dominant; only its positive definite symmetric
-    part makes elimination without pivoting safe.  The reference is
-    LAPACK's partially pivoted band LU, which is the dense LU restricted
-    to the band and needs no dense 4000 x 4000 matrix.
+    is far from diagonally dominant.  The reference is scipy's banded
+    solver, which needs no dense 4000 x 4000 matrix.
     """
 
     wave = TravelingWave(alpha=-1.0 / 12.0, x0=15.0)
