@@ -87,8 +87,6 @@ def main(argv=None):
         elif args.command == "converge":
             meshes = [int(v) for v in _parse_floats(args.meshes, "--meshes",
                                                     integral=True)]
-            if len(meshes) < 2:
-                raise ConfigError("converge needs at least two mesh sizes")
             path, rows = cmd_converge(config, meshes, args.output_dir)
             say(f"wrote {path}")
             for row in rows:

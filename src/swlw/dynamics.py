@@ -130,9 +130,9 @@ def rhs(state, params):
     return ComplexGridFn(g, dudt), RealGridFn(g, dvdt)
 
 
-def stability_budget(grid, factor=RK4_STABILITY_FACTOR):
+def stability_budget(grid):
     """Largest dt the explicit RK4 integrator should use on this grid."""
-    return factor * grid.h**3
+    return RK4_STABILITY_FACTOR * grid.h**3
 
 
 def rk4_step(state, params, dt):

@@ -174,13 +174,7 @@ def norm_p(z, p, grid=None):
     for p = inf.
     """
     v, g = _unpack(z, grid)
-    a = np.abs(v[g.active])
-    if p == np.inf:
-        return float(a.max(initial=0.0))
-    p = float(p)
-    if p < 1:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
-    return float((g.h * np.sum(a**p)) ** (1.0 / p))
+    return _p_norm(np.abs(v[g.active]), p, g.h)
 
 
 def dplus_norm_p(z, p, grid=None):
@@ -192,12 +186,17 @@ def dplus_norm_p(z, p, grid=None):
     """
     v, g = _unpack(z, grid)
     d = np.abs((v[2:g.J + 1] - v[1:g.J]) / g.h)  # D+ at j = 1..J-1
+    return _p_norm(d, p, g.h)
+
+
+def _p_norm(a, p, h):
+    """(sum h a_j^p)^(1/p) of the moduli ``a``, or their max for p = inf."""
     if p == np.inf:
-        return float(d.max(initial=0.0))
+        return float(a.max(initial=0.0))
     p = float(p)
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    return float((g.h * np.sum(d**p)) ** (1.0 / p))
+    return float((h * np.sum(a**p)) ** (1.0 / p))
 
 
 def sample(f, grid, cls=RealGridFn):

@@ -51,15 +51,12 @@ class RunConfig:
     errors_path: str = "errors.csv"
     sample_every: int = 1
 
-    def grid(self):
-        return Grid(self.J, self.L)
-
     def solver_config(self):
         return SolverConfig(tau=self.tau, T=self.T, tol=self.tol,
                             max_iter=self.max_iter)
 
     def initial_state(self):
-        g = self.grid()
+        g = Grid(self.J, self.L)
         if self.wave is not None:
             return self.wave.initial_state(g, self.x_left)
         data = np.load(self.initial_file)
@@ -271,7 +268,7 @@ def cmd_run(config, output_dir="."):
     return written
 
 
-def cmd_converge(config, mesh_list, output_dir=".", csv_name="convergence.csv"):
+def cmd_converge(config, mesh_list, output_dir="."):
     """Run the configured problem once per mesh size; emit the report.
 
     A failing mesh is marked in its status column and the sweep continues.
@@ -301,7 +298,7 @@ def cmd_converge(config, mesh_list, output_dir=".", csv_name="convergence.csv"):
             rows.append((J, grid.h, config.tau, config.T, np.nan, np.nan, 0,
                          wall, f"failed: {type(exc).__name__}"))
     rows.sort(key=lambda r: -r[1])  # h descending
-    path = Path(output_dir) / csv_name
+    path = Path(output_dir) / "convergence.csv"
     _write_csv(path, CONVERGENCE_HEADER, rows)
     return path, rows
 
@@ -325,12 +322,13 @@ def cmd_conserve(config, output_dir="."):
     return paths
 
 
-def cmd_truncate(config, levels, output_dir=".", csv_name="truncate.csv"):
+def cmd_truncate(config, levels, output_dir="."):
     """Compare truncated runs against the untruncated one.
 
     Runs the untruncated system once, then once per level M, and reports
     whether the long-wave sup norm stayed below M together with the max
-    state difference against the untruncated run.
+    state difference against the untruncated run.  Every step is sampled,
+    whatever ``outputs.sample_every`` says, so ``v_sup_max`` misses no step.
     """
     if not levels:
         raise ValueError("need at least one truncation level")
@@ -338,7 +336,7 @@ def cmd_truncate(config, levels, output_dir=".", csv_name="truncate.csv"):
 
     def run_with(trunc):
         return run(initial, replace(config.params, trunc=trunc),
-                   config.solver_config(), sample_every=config.sample_every)
+                   config.solver_config(), sample_every=1)
 
     base_final, _ = run_with(TruncationFamily.off())
     rows = []
@@ -348,6 +346,6 @@ def cmd_truncate(config, levels, output_dir=".", csv_name="truncate.csv"):
         diff = max(np.max(np.abs(final.u.values - base_final.u.values)),
                    np.max(np.abs(final.v.values - base_final.v.values)))
         rows.append((M, v_sup_max, int(v_sup_max >= M), diff))
-    path = Path(output_dir) / csv_name
+    path = Path(output_dir) / "truncate.csv"
     _write_csv(path, TRUNCATE_HEADER, rows)
     return path, rows

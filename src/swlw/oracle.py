@@ -139,6 +139,6 @@ class TravelingWave:
         nv = norm_p(exact.v, 2)
         if nu == 0.0 or nv == 0.0:
             raise ZeroDivisionError("exact solution vanishes on this grid")
-        du = RealGridFn(state.grid, np.abs(state.u.values - exact.u.values))
-        dv = RealGridFn(state.grid, np.abs(state.v.values - exact.v.values))
-        return {"err_u": norm_p(du, 2) / nu, "err_v": norm_p(dv, 2) / nv}
+        du = norm_p(state.u.values - exact.u.values, 2, state.grid)
+        dv = norm_p(state.v.values - exact.v.values, 2, state.grid)
+        return {"err_u": du / nu, "err_v": dv / nv}

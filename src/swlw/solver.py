@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import BlowUpError, SolverFailure, State, _march
-from .grid import ComplexGridFn, RealGridFn, d_cubed, d_zero
+from .grid import ComplexGridFn, RealGridFn, d_cubed, d_zero, laplacian_h
 
 __all__ = ["SolverConfig", "Tridiag", "Pentadiag", "solve_tridiag",
            "SingularSystemError", "NonConvergenceError",
@@ -206,7 +206,7 @@ def schrodinger_update(u_n, v_n, params, cfg):
     agv = params.alpha * params.trunc.coupling(v_n.values[a])
     off = np.full(g.J - 3, 0.5 / h2, dtype=np.complex128)
 
-    lap_u = (u[3:g.J + 1] - 2.0 * u[2:g.J] + u[1:g.J - 1]) / h2
+    lap_u = laplacian_h(u_n)[a]
     diag0 = 1j / cfg.tau - 1.0 / h2
     rhs0 = 1j / cfg.tau * ua - 0.5 * lap_u
 

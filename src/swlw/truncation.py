@@ -17,6 +17,8 @@ continuous for the Jacobian).
 ``TruncationFamily.off()`` is the untruncated system: flux v^2, coupling v,
 antiderivative v^3/3.  For inputs that never exceed M, the active family
 evaluates to exactly the same floating-point values as the off family.
+That reduction lives in one helper, ``_saturated``: each evaluator is the
+untruncated function with only the entries |v| > M replaced by its blend.
 All evaluators accept scalars or numpy arrays; they use products and
 Horner's rule, not powers, so that an array entry rounds as a scalar does.
 """
@@ -41,6 +43,26 @@ def _smoothstep_prime(t):
 def _ramp_integral(t):
     t = np.clip(t, 0.0, 1.0)
     return t + t * t * (t * t) * (-2.5 + t * (3.0 - t))
+
+
+def _saturated(plain):
+    """The reduction rule: decorate ``beyond(v, a, M)``, the blend at the
+    entries a = |v| > M, into an evaluator returning ``plain(v)``, the
+    untruncated function, with those entries replaced (none when M is unset
+    or max |v| <= M).  The negated test sends NaN to the blend, so NaN stays
+    NaN; 0-d results come back as scalars."""
+    def decorate(beyond):
+        def evaluate(self, v):
+            v = np.asarray(v, dtype=np.float64)
+            out, M = plain(v), self.M
+            if M is not None and not np.abs(v).max(initial=0.0) <= M:
+                a = np.abs(v)
+                out = np.where(a <= M, out, beyond(v, a, M))
+            return out[()] if out.ndim == 0 else out
+        for attr in ("__name__", "__qualname__", "__doc__"):
+            setattr(evaluate, attr, getattr(beyond, attr))
+        return evaluate
+    return decorate
 
 
 class TruncationFamily:
@@ -82,7 +104,8 @@ class TruncationFamily:
 
     # -- saturated quadratic flux ------------------------------------
 
-    def flux(self, v):
+    @_saturated(lambda v: v * v)
+    def flux(v, a, M):
         """Saturated v^2: exactly v*v on |v| <= M, |v| above M^2+1.
 
         In between, the blend (1-theta) v^2 + theta |v| with
@@ -90,35 +113,22 @@ class TruncationFamily:
         0 <= flux(v) <= v^2 holds everywhere since |v| <= v^2 on the
         blend region (M > 1).
         """
-        v = np.asarray(v, dtype=np.float64)
-        quad = v * v
-        if self.M is None or np.abs(v).max(initial=0.0) <= self.M:
-            return quad[()] if quad.ndim == 0 else quad
-        M = self.M
-        a = np.abs(v)
         theta = _smoothstep((a - M) / (M * M + 1.0 - M))
-        out = np.where(a <= M, quad, (1.0 - theta) * quad + theta * a)
-        return out[()] if out.ndim == 0 else out
+        return (1.0 - theta) * (v * v) + theta * a
 
-    def flux_prime(self, v):
+    @_saturated(lambda v: 2.0 * v)
+    def flux_prime(v, a, M):
         """Derivative of ``flux``; odd, equal to 2v on |v| <= M."""
-        v = np.asarray(v, dtype=np.float64)
-        lin = 2.0 * v
-        if self.M is None or np.abs(v).max(initial=0.0) <= self.M:
-            return lin[()] if lin.ndim == 0 else lin
-        M = self.M
         w = M * M + 1.0 - M
-        a = np.abs(v)
-        s = np.sign(v)
         t = (a - M) / w
         theta = _smoothstep(t)
         dtheta = _smoothstep_prime(t) / w
         # d/da of (1-theta) a^2 + theta a, then restore oddness via sign
         outer = 2.0 * a * (1.0 - theta) + theta + (a - a * a) * dtheta
-        out = np.where(a <= M, lin, s * outer)
-        return out[()] if out.ndim == 0 else out
+        return np.sign(v) * outer
 
-    def flux_antiderivative(self, v):
+    @_saturated(lambda v: v * v * v / 3.0)
+    def flux_antiderivative(v, a, M):
         """Integral of ``flux`` from 0; odd, exactly v^3/3 on |v| <= M.
 
         Evaluated by closed-form piecewise antiderivatives: on the blend
@@ -126,60 +136,32 @@ class TruncationFamily:
         coordinate, integrated termwise; beyond M^2+1 the growth is
         (v^2 - (M^2+1)^2)/2 on top of the accumulated value.
         """
-        v = np.asarray(v, dtype=np.float64)
-        cube = v * v * v / 3.0
-        if self.M is None or np.abs(v).max(initial=0.0) <= self.M:
-            return cube[()] if cube.ndim == 0 else cube
-        M = self.M
         top = M * M + 1.0
         w = top - M
-        a = np.abs(v)
-        s = np.sign(v)
         t = np.clip((a - M) / w, 0.0, 1.0)
         blend = M**3 / 3.0 + w * _blend_flux_integral(t, M, w)
         tail = (M**3 / 3.0 + w * _blend_flux_integral(1.0, M, w)
                 + 0.5 * (a * a - top * top))
-        out = np.where(a <= M, cube, s * np.where(a <= top, blend, tail))
-        return out[()] if out.ndim == 0 else out
+        return np.sign(v) * np.where(a <= top, blend, tail)
 
     # -- saturated coupling potential --------------------------------
 
-    def coupling(self, v):
+    @_saturated(np.copy)
+    def coupling(v, a, M):
         """Saturated identity: v on |v| <= M, the plateau sign(v) 3M/2
         beyond 2M, a unit-slope ramp eased by the smoothstep in between."""
-        v = np.asarray(v, dtype=np.float64)
-        if self.M is None or np.abs(v).max(initial=0.0) <= self.M:
-            return v[()] if v.ndim == 0 else v.copy()
-        M = self.M
-        a = np.abs(v)
-        s = np.sign(v)
         ramp = M + M * _ramp_integral((a - M) / M)
-        out = np.where(a <= M, v, s * np.where(a < 2.0 * M, ramp, 1.5 * M))
-        return out[()] if out.ndim == 0 else out
+        return np.sign(v) * np.where(a < 2.0 * M, ramp, 1.5 * M)
 
-    def coupling_prime(self, v):
+    @_saturated(np.ones_like)
+    def coupling_prime(v, a, M):
         """Derivative of ``coupling``: 1 inside, 0 past 2M, in [0, 1]."""
-        v = np.asarray(v, dtype=np.float64)
-        if self.M is None or np.abs(v).max(initial=0.0) <= self.M:
-            out = np.ones_like(v)
-            return out[()] if out.ndim == 0 else out
-        M = self.M
-        a = np.abs(v)
-        out = np.where(a <= M, 1.0, 1.0 - _smoothstep((a - M) / M))
-        return out[()] if out.ndim == 0 else out
+        return 1.0 - _smoothstep((a - M) / M)
 
-    def coupling_second(self, v):
+    @_saturated(np.zeros_like)
+    def coupling_second(v, a, M):
         """Second derivative of ``coupling``; zero inside and past 2M."""
-        v = np.asarray(v, dtype=np.float64)
-        if self.M is None or np.abs(v).max(initial=0.0) <= self.M:
-            out = np.zeros_like(v)
-            return out[()] if out.ndim == 0 else out
-        M = self.M
-        a = np.abs(v)
-        s = np.sign(v)
-        out = np.where(a <= M, 0.0,
-                       -s * _smoothstep_prime((a - M) / M) / M)
-        return out[()] if out.ndim == 0 else out
+        return -np.sign(v) * _smoothstep_prime((a - M) / M) / M
 
 
 def _blend_flux_integral(t, M, w):

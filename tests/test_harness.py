@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from swlw.cli import main
+from swlw.dynamics import RunDiagnostics, State
 from swlw.harness import (CONVERGENCE_HEADER, DIAGNOSTICS_HEADER, ConfigError,
                           cmd_conserve, cmd_converge, cmd_run, cmd_truncate,
                           parse_config)
@@ -159,6 +162,20 @@ class TestCsvEmission:
         assert by_M[1.5][3] > 0.0
 
 
+    def test_truncate_samples_every_step(self, tmp_path):
+        # the crest nears a node at step 4, between the samples of
+        # sample_every 5: v_sup_max must still see it, and M = 2.9788 (above
+        # every sampled sup norm, below the step-4 one) must read active
+        doc = GOOD_YAML.replace("T: 0.05", "T: 0.1").replace("x0: 15.0",
+                                                             "x0: 15.5")
+        rows = {}
+        for every in (1, 5):
+            cfg = parse_config(doc + f"outputs: {{sample_every: {every}}}\n")
+            _, rows[every] = cmd_truncate(cfg, [2.9788], tmp_path)
+        assert rows[5] == rows[1]
+        (_, v_sup_max, active, _), = rows[5]
+        assert v_sup_max >= 2.9788 and active == 1
+
 class TestCli:
     def write_config(self, tmp_path, text=GOOD_YAML):
         p = tmp_path / "run.yaml"
@@ -230,3 +247,46 @@ class TestCli:
         assert main(["run", cfg, "--profile", "paper", "--quiet"]) == 0
         assert seen["tau"] == 1e-4
         assert seen["T"] == 5.0
+
+
+class TestBenchmarkHooks:
+    """The benchmark wraps ``swlw.solver.step`` and ``swlw.harness.run`` by
+    name: every step goes through the first, every command run through
+    the second, and each run returns (State, RunDiagnostics)."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        import swlw.harness as harness
+        import swlw.solver as solver
+        steps, runs = [], []
+        step, run = solver.step, harness.run
+
+        def counting_step(*args, **kwargs):
+            steps.append(1)
+            return step(*args, **kwargs)
+
+        def counting_run(*args, **kwargs):
+            result = run(*args, **kwargs)
+            runs.append(result)
+            return result
+
+        monkeypatch.setattr(solver, "step", counting_step)
+        monkeypatch.setattr(harness, "run", counting_run)
+        return steps, runs
+
+    def test_truncate_runs_and_steps(self, counted, good_config, tmp_path):
+        steps, runs = counted
+        cfg = dataclasses.replace(good_config, T=3 * good_config.tau)
+        cmd_truncate(cfg, [1.5, 10.0], tmp_path)
+        assert len(steps) == 9 and len(runs) == 3
+        for result in runs:
+            final, diags = result
+            assert isinstance(final, State)
+            assert isinstance(diags, RunDiagnostics)
+
+    def test_converge_one_run_per_mesh(self, counted, good_config, tmp_path):
+        steps, runs = counted
+        cfg = dataclasses.replace(good_config, T=3 * good_config.tau)
+        cmd_converge(cfg, [64, 32], tmp_path)
+        assert len(steps) == 6
+        assert [final.grid.J for final, _ in runs] == [32, 64]

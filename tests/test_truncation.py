@@ -102,6 +102,20 @@ class TestPlainBranchProperty:
                 assert self.same_bits(f(float(x)), y), (name, x)
 
 
+class TestNaN:
+    """A NaN input takes the saturated branch: it stays NaN, and it does
+    not send the finite entries of its array down the plain branch."""
+
+    @pytest.mark.parametrize("name", EVALUATORS)
+    def test_nan_stays_nan_and_entries_match_scalars(self, name):
+        f = getattr(TruncationFamily.active(2.0), name)
+        assert np.isnan(f(np.nan))
+        v = np.array([np.nan, 0.5, -1.5, 2.0, 3.0, -4.5, 6.0, -100.0])
+        out = f(v)
+        assert np.isnan(out[0])
+        for x, y in zip(v[1:], out[1:]):
+            assert f(float(x)) == y, (name, x)
+
 class TestFluxShape:
     def test_far_field_is_absolute_value(self):
         tr = TruncationFamily.active(2.0)
