@@ -2,12 +2,11 @@
 modelling short-wave/long-wave resonance on a bounded interval."""
 
 from .dynamics import (BlowUpError, ModelParams, RunDiagnostics, SolverFailure,
-                       State, apriori_quantities, energy,
-                       integrate_semidiscrete, mass, q_invariant, rhs,
-                       rk4_step, stability_budget)
+                       State, energy, integrate_semidiscrete, mass,
+                       q_invariant, rhs, rk4_step, stability_budget)
 from .grid import (ComplexGridFn, Grid, GridFn, RealGridFn, d_cubed, d_minus,
-                   d_plus, d_zero, dplus_norm_p, inner, interp_p0, interp_p1,
-                   laplacian_h, norm_p, sample)
+                   d_plus, d_zero, dplus_norm_p, inner, laplacian_h, norm_p,
+                   sample)
 from .oracle import TravelingWave, wave_speed
 from .solver import (NonConvergenceError, Pentadiag, SingularSystemError,
                      SolverConfig, Tridiag, kdv_update, run,

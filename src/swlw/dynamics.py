@@ -26,8 +26,7 @@ from .truncation import TruncationFamily
 
 __all__ = ["ModelParams", "State", "RunDiagnostics", "SolverFailure",
            "BlowUpError", "rhs", "rk4_step", "stability_budget",
-           "integrate_semidiscrete", "mass", "q_invariant", "energy",
-           "apriori_quantities"]
+           "integrate_semidiscrete", "mass", "q_invariant", "energy"]
 
 #: dt <= RK4_STABILITY_FACTOR * h^3 keeps the explicit reference integrator
 #: inside the RK4 imaginary-axis stability interval for the third-difference
@@ -68,11 +67,6 @@ class ModelParams:
     gamma: float
     lam: float = 1.0
     trunc: TruncationFamily = field(default_factory=TruncationFamily.off)
-
-    def hypothesis_satisfied(self):
-        """True when alpha*gamma > 0, the hypothesis behind the a priori
-        bounds; the solver runs either way."""
-        return self.alpha * self.gamma > 0
 
 
 @dataclass(frozen=True)
@@ -139,17 +133,16 @@ def rk4_step(state, params, dt):
     """One classical fourth-order Runge-Kutta step of the coupled system."""
     g = state.grid
 
-    def f(t, uv, vv):
-        s = State(t, ComplexGridFn(g, uv), RealGridFn(g, vv))
+    def f(uv, vv):
+        s = State(state.t, ComplexGridFn(g, uv), RealGridFn(g, vv))
         du, dv = rhs(s, params)
         return du.values, dv.values
 
     u0, v0 = state.u.values, state.v.values
-    t = state.t
-    k1u, k1v = f(t, u0, v0)
-    k2u, k2v = f(t + dt / 2, u0 + dt / 2 * k1u, v0 + dt / 2 * k1v)
-    k3u, k3v = f(t + dt / 2, u0 + dt / 2 * k2u, v0 + dt / 2 * k2v)
-    k4u, k4v = f(t + dt, u0 + dt * k3u, v0 + dt * k3v)
+    k1u, k1v = f(u0, v0)
+    k2u, k2v = f(u0 + dt / 2 * k1u, v0 + dt / 2 * k1v)
+    k3u, k3v = f(u0 + dt / 2 * k2u, v0 + dt / 2 * k2v)
+    k4u, k4v = f(u0 + dt * k3u, v0 + dt * k3v)
     u1 = u0 + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
     v1 = v0 + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
     if not (np.all(np.isfinite(u1.view(np.float64))) and np.all(np.isfinite(v1))):
@@ -197,23 +190,6 @@ def energy(state, params):
     e -= params.alpha * params.lam * g.h * np.sum(
         tr.flux_antiderivative(v[a]))
     return float(e)
-
-
-def apriori_quantities(u0, v0, params):
-    """The three data-dependent scalars bounding the truncated dynamics.
-
-    E0 majorizes |E(0)| uniformly in the truncation level, M0 is the
-    conserved mass, Q0 the initial cross-invariant.  Returned as a dict
-    with keys 'E0', 'M0', 'Q0'.
-    """
-    al, be, ga = abs(params.alpha), abs(params.beta), abs(params.gamma)
-    e0 = ga * dplus_norm_p(u0, 2)**2
-    e0 += 0.5 * al * dplus_norm_p(v0, 2)**2
-    e0 += al * ga * norm_p(v0, 2) * norm_p(u0, 4)**2
-    e0 += al / 3.0 * norm_p(v0, 3)**3
-    e0 += 0.5 * be * ga * norm_p(u0, 4)**4
-    st = State(0.0, u0, v0)
-    return {"E0": float(e0), "M0": mass(st), "Q0": q_invariant(st, params)}
 
 
 def integrate_semidiscrete(initial, params, dt, T, sample_every=1):

@@ -16,7 +16,6 @@ __all__ = [
     "Grid", "GridFn", "RealGridFn", "ComplexGridFn",
     "d_plus", "d_minus", "d_zero", "laplacian_h", "d_cubed",
     "inner", "norm_p", "dplus_norm_p", "sample",
-    "PiecewiseLinear", "PiecewiseConstant", "interp_p1", "interp_p0",
 ]
 
 
@@ -216,56 +215,6 @@ def sample(f, grid, cls=RealGridFn):
         raise ValueError(f"non-finite sample at node j={j}, x={grid.x[j]}")
     vals[grid.active] = fv
     return cls(grid, vals)
-
-
-class PiecewiseLinear:
-    """Continuous piecewise-linear reconstruction with the node values.
-
-    The L2 quantities use exact per-cell closed forms (the integrands are
-    polynomials of degree <= 2), no quadrature.
-    """
-
-    def __init__(self, grid, values):
-        self.grid = grid
-        self.values = np.asarray(values)
-
-    def __call__(self, x):
-        g = self.grid
-        return np.interp(x, g.x, self.values.real) + (
-            1j * np.interp(x, g.x, self.values.imag)
-            if np.iscomplexobj(self.values) else 0.0)
-
-    def l2_norm(self):
-        # per cell: int |a + (b-a)t|^2 h dt = h (|a|^2 + Re(a conj(b)) + |b|^2)/3
-        a, b = self.values[:-1], self.values[1:]
-        cell = (np.abs(a)**2 + (a * np.conj(b)).real + np.abs(b)**2) / 3.0
-        return float(np.sqrt(self.grid.h * np.sum(cell)))
-
-
-class PiecewiseConstant:
-    """Piecewise-constant reconstruction: value z_j on (x_j, x_{j+1})."""
-
-    def __init__(self, grid, values):
-        self.grid = grid
-        self.values = np.asarray(values)
-
-    def __call__(self, x):
-        g = self.grid
-        j = np.clip(np.floor(np.asarray(x) / g.h).astype(int), 0, g.J)
-        return self.values[j]
-
-    def l2_norm(self):
-        return float(np.sqrt(self.grid.h * np.sum(np.abs(self.values[:-1])**2)))
-
-
-def interp_p1(z, grid=None):
-    v, g = _unpack(z, grid)
-    return PiecewiseLinear(g, v)
-
-
-def interp_p0(z, grid=None):
-    v, g = _unpack(z, grid)
-    return PiecewiseConstant(g, v)
 
 
 def l2_diff_p1_p0(z, grid=None):

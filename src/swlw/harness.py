@@ -55,10 +55,17 @@ class RunConfig:
         return SolverConfig(tau=self.tau, T=self.T, tol=self.tol,
                             max_iter=self.max_iter)
 
+    def wave_state(self, grid):
+        """The exact wave at t = 0 on ``grid``; ConfigError if it vanishes."""
+        try:
+            return self.wave.initial_state(grid, self.x_left)
+        except ValueError as exc:
+            raise ConfigError(f"initial.traveling_wave: {exc}") from exc
+
     def initial_state(self):
         g = Grid(self.J, self.L)
         if self.wave is not None:
-            return self.wave.initial_state(g, self.x_left)
+            return self.wave_state(g)
         data = np.load(self.initial_file)
         for key in ("u", "v"):
             if key not in data or not np.all(np.isfinite(data[key])):
@@ -152,6 +159,8 @@ def parse_config(doc):
     J = _integer(_require(doc, "J", ""), "J", 6)
     tau = _number(_require(doc, "tau", ""), "tau", positive=True)
     T = _number(_require(doc, "T", ""), "T", positive=True)
+    if not np.isfinite(T / tau):
+        raise ConfigError(f"'T' / 'tau' must be finite, got T={T}, tau={tau}")
 
     p = _mapping(doc, "params", "")
     _check_known(p, {"alpha", "beta", "gamma", "lambda"}, "params.")
@@ -284,7 +293,7 @@ def cmd_converge(config, mesh_list, output_dir="."):
         grid = Grid(J, config.L)
         t0 = time.perf_counter()
         try:
-            initial = config.wave.initial_state(grid, config.x_left)
+            initial = config.wave_state(grid)
             final, diags = run(initial, config.params, config.solver_config(),
                                sample_every=10**9)
             err = config.wave.relative_l2_error(final, config.x_left)
@@ -326,9 +335,11 @@ def cmd_truncate(config, levels, output_dir="."):
     """Compare truncated runs against the untruncated one.
 
     Runs the untruncated system once, then once per level M, and reports
-    whether the long-wave sup norm stayed below M together with the max
-    state difference against the untruncated run.  Every step is sampled,
+    the long-wave sup norm, whether the truncation acted and the max state
+    difference against the untruncated run.  Every step is sampled,
     whatever ``outputs.sample_every`` says, so ``v_sup_max`` misses no step.
+    A level acted when the sup norm exceeds it (the evaluators cut |v| > M
+    only) or when the runs differ, as a Newton iterate can overshoot.
     """
     if not levels:
         raise ValueError("need at least one truncation level")
@@ -345,7 +356,7 @@ def cmd_truncate(config, levels, output_dir="."):
         v_sup_max = max(diags.v_sup)
         diff = max(np.max(np.abs(final.u.values - base_final.u.values)),
                    np.max(np.abs(final.v.values - base_final.v.values)))
-        rows.append((M, v_sup_max, int(v_sup_max >= M), diff))
+        rows.append((M, v_sup_max, int(v_sup_max > M or diff > 0), diff))
     path = Path(output_dir) / "truncate.csv"
     _write_csv(path, TRUNCATE_HEADER, rows)
     return path, rows

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from swlw.cli import main
 from swlw.harness import ConfigError, parse_config
+from swlw.solver import SolverConfig
 
 BASE_YAML = """
 domain: [-20, 50]
@@ -154,6 +155,44 @@ def test_params_not_a_mapping():
 ])
 def test_malformed_values_exit_1_on_the_cli(tmp_path, capsys, old, new, key):
     assert key in cli_error(tmp_path, capsys, BASE_YAML.replace(old, new))
+
+
+@pytest.mark.parametrize("old, new, command, key", [
+    # omega**2 overflows the crest 12 c*
+    ("x0: 15.0}", "x0: 15.0, omega: 1.0e+155}", "run",
+     "initial.traveling_wave"),
+    # the exact wave underflows to 0 at every node
+    ("x0: 15.0}", "x0: 5000}", "run", "initial.traveling_wave"),
+    ("x0: 15.0}", "x0: 5000}", "converge", "initial.traveling_wave"),
+    # T / tau overflows the step count
+    ("tau: 1.0e-2\nT: 0.02", "tau: 1.0e-320\nT: 1.0e+300", "run",
+     "'T' / 'tau'"),
+])
+def test_overflowing_inputs_exit_1_naming_their_key(tmp_path, capsys, old,
+                                                    new, command, key):
+    assert old in BASE_YAML
+    extra = ("--meshes", "16,32") if command == "converge" else ()
+    err = cli_error(tmp_path, capsys, BASE_YAML.replace(old, new), *extra,
+                    command=command)
+    assert key in err
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("tau: 1.0e-2", "tau: 0", "'tau'"),
+    ("T: 0.02", "T: 0", "'T'"),
+    ("domain: [-20, 50]", "L: 0", "'L'"),
+    ("domain: [-20, 50]", "domain: [-20, -20]", "'domain'"),
+])
+def test_zero_lengths_name_their_key(old, new, key):
+    assert old in BASE_YAML
+    with pytest.raises(ConfigError, match=key):
+        parse_config(BASE_YAML.replace(old, new))
+
+
+@pytest.mark.parametrize("tau, T", [(0.0, 1.0), (0.1, 0.0)])
+def test_solver_config_rejects_zero_times(tau, T):
+    with pytest.raises(ValueError, match="positive"):
+        SolverConfig(tau=tau, T=T)
 
 
 # any YAML-like value: what a malformed document can put at a key

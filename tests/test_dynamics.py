@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from swlw.dynamics import (BlowUpError, ModelParams, State, apriori_quantities,
-                           energy, integrate_semidiscrete, mass, q_invariant,
-                           rhs, rk4_step, stability_budget)
+from swlw.dynamics import (BlowUpError, ModelParams, State, energy,
+                           integrate_semidiscrete, rhs, rk4_step,
+                           stability_budget)
 from swlw.grid import ComplexGridFn, Grid, RealGridFn, norm_p, sample
 from swlw.oracle import TravelingWave
 from swlw.truncation import TruncationFamily
@@ -40,10 +40,6 @@ def dense_operators(grid):
 
 
 class TestModelParams:
-    def test_hypothesis_flag(self):
-        assert ModelParams(-0.1, -1.0, -0.05, 0.5).hypothesis_satisfied()
-        assert not ModelParams(-0.1, -1.0, 0.05, 0.5).hypothesis_satisfied()
-
     def test_state_grid_mismatch(self):
         u = ComplexGridFn.zeros(Grid(8, 1.0))
         v = RealGridFn.zeros(Grid(10, 1.0))
@@ -197,14 +193,6 @@ class TestInvariants:
         p_off = self.params()
         p_on = self.wave.model_params(trunc=TruncationFamily.active(10.0))
         assert energy(s, p_on) == energy(s, p_off)
-
-    def test_apriori_quantities_majorize(self):
-        s = self.initial(J=64)
-        p = self.params()
-        q = apriori_quantities(s.u, s.v, p)
-        assert q["M0"] == pytest.approx(mass(s), rel=1e-14)
-        assert q["Q0"] == pytest.approx(q_invariant(s, p), rel=1e-12)
-        assert q["E0"] >= abs(energy(s, p))
 
 
 class TestIntegrateDriver:

@@ -3,8 +3,8 @@ import pytest
 from scipy.integrate import quad
 
 from swlw.grid import (ComplexGridFn, Grid, RealGridFn, d_cubed, d_minus,
-                       d_plus, d_zero, dplus_norm_p, inner, interp_p0,
-                       interp_p1, l2_diff_p1_p0, laplacian_h, norm_p, sample)
+                       d_plus, d_zero, dplus_norm_p, inner, l2_diff_p1_p0,
+                       laplacian_h, norm_p, sample)
 
 
 def random_real(grid, rng):
@@ -210,58 +210,23 @@ class TestDiscreteInequalities:
             z = random_real(g, rng)
             assert l2_diff_p1_p0(z) <= g.h * dplus_norm_p(z, 2) * (1 + 1e-12)
 
-
-class TestInterpolators:
-    def test_zero_functions(self):
-        g = Grid(8, 1.0)
-        z = RealGridFn.zeros(g)
-        xs = np.linspace(0, 1, 17)
-        assert np.all(interp_p1(z)(xs) == 0)
-        assert np.all(interp_p0(z)(xs) == 0)
-
-    def test_midpoint_is_node_average(self):
-        rng = np.random.default_rng(11)
-        g = Grid(12, 3.0)
-        z = random_real(g, rng)
-        p1 = interp_p1(z)
-        mids = 0.5 * (g.x[:-1] + g.x[1:])
-        np.testing.assert_allclose(p1(mids),
-                                   0.5 * (z.values[:-1] + z.values[1:]),
-                                   rtol=0, atol=1e-14)
-
-    def test_p0_value_on_cells(self):
-        rng = np.random.default_rng(12)
-        g = Grid(12, 3.0)
-        z = random_real(g, rng)
-        p0 = interp_p0(z)
-        assert p0(g.x[4] + 0.3 * g.h) == z.values[4]
-
-    def test_p1_l2_norm_against_quadrature(self):
-        rng = np.random.default_rng(13)
-        g = Grid(10, 2.0)
-        for _ in range(5):
-            z = random_real(g, rng)
-            p1 = interp_p1(z)
-            ref = np.sqrt(sum(quad(lambda x: p1(x)**2, g.x[j], g.x[j + 1])[0]
-                              for j in range(g.J + 1)))
-            assert p1.l2_norm() == pytest.approx(ref, rel=1e-12)
-
-    def test_p1_p0_distance_closed_form_vs_quadrature(self):
+    @pytest.mark.parametrize("complex_", [False, True],
+                             ids=["real", "complex"])
+    def test_p1_p0_distance_against_quadrature(self, complex_):
+        # P1 interpolates the nodes linearly, P0 holds z_j on (x_j, x_{j+1})
         rng = np.random.default_rng(14)
         g = Grid(10, 2.0)
-        z = random_real(g, rng)
-        p1, p0 = interp_p1(z), interp_p0(z)
-        ref = np.sqrt(sum(
-            quad(lambda x: (p1(x) - p0(x))**2, g.x[j], g.x[j + 1])[0]
-            for j in range(g.J + 1)))
-        assert l2_diff_p1_p0(z) == pytest.approx(ref, rel=1e-12)
+        z = (random_complex if complex_ else random_real)(g, rng)
+        v = z.values
 
-    def test_p1_norm_bounded_by_twice_grid_norm(self):
-        rng = np.random.default_rng(15)
-        for _ in range(200):
-            g = Grid(int(rng.integers(6, 64)), float(rng.uniform(0.2, 20)))
-            z = random_real(g, rng)
-            assert interp_p1(z).l2_norm() <= 2.0 * norm_p(z, 2) + 1e-15
+        def p1_minus_p0_sq(x, j):
+            p1 = (np.interp(x, g.x, v.real)
+                  + 1j * np.interp(x, g.x, v.imag))
+            return abs(p1 - v[j])**2
+
+        ref = np.sqrt(sum(quad(p1_minus_p0_sq, g.x[j], g.x[j + 1],
+                               args=(j,))[0] for j in range(g.J + 1)))
+        assert l2_diff_p1_p0(z) == pytest.approx(ref, rel=1e-12)
 
 
 class TestSample:

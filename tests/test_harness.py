@@ -1,13 +1,17 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
 
+from swlw import solver
 from swlw.cli import main
 from swlw.dynamics import RunDiagnostics, State
+from swlw.grid import Grid
 from swlw.harness import (CONVERGENCE_HEADER, DIAGNOSTICS_HEADER, ConfigError,
                           cmd_conserve, cmd_converge, cmd_run, cmd_truncate,
                           parse_config)
+from swlw.solver import run
 
 GOOD_YAML = """
 domain: [-20, 50]
@@ -175,6 +179,68 @@ class TestCsvEmission:
         assert rows[5] == rows[1]
         (_, v_sup_max, active, _), = rows[5]
         assert v_sup_max >= 2.9788 and active == 1
+
+    @pytest.mark.parametrize("solver_doc",
+                             ["{}", "{tol: 1.0e-16, max_iter: 1}"])
+    def test_converge_wall_times_lie_within_the_call(self, tmp_path,
+                                                     solver_doc):
+        # the second solver block fails every mesh: both branches time
+        cfg = parse_config(GOOD_YAML + f"solver: {solver_doc}\n")
+        t0 = time.perf_counter()
+        path, _ = cmd_converge(cfg, [16, 32], tmp_path)
+        elapsed = time.perf_counter() - t0
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert len(rows) == 2
+        assert all(0.0 <= float(row[7]) <= elapsed for row in rows)
+
+
+class TestTruncationActive:
+    """``truncation_active`` is 1 exactly when the truncation acted."""
+
+    def test_level_equal_to_the_sup_norm_is_inactive(self, tmp_path):
+        # the README wave; at M = max |v| every evaluator stays plain
+        cfg = parse_config(GOOD_YAML.replace("J: 64", "J: 250")
+                           .replace("tau: 1.0e-2", "tau: 1.0e-3")
+                           .replace("T: 0.05", "T: 0.1"))
+        _, diags = run(cfg.initial_state(), cfg.params, cfg.solver_config())
+        M = max(diags.v_sup)
+        _, [(_, v_sup_max, active, diff)] = cmd_truncate(cfg, [M], tmp_path)
+        assert v_sup_max == M
+        assert diff == 0.0 and active == 0
+
+    def test_newton_overshoot_above_the_sup_norm_is_active(self, tmp_path,
+                                                           monkeypatch):
+        # at tau = 0.05 the Newton iterates of this bump reach above every
+        # accepted state; a level in between is crossed only by an iterate
+        x = Grid(32, 20.0).x
+        npz = tmp_path / "bump.npz"
+        np.savez(npz, u=1.97 * np.exp(-(x - 10.0)**2 + 1j * x),
+                 v=3.74 * np.exp(-0.5 * (x - 10.0)**2))
+        cfg = parse_config(f"""
+L: 20
+J: 32
+tau: 0.05
+T: 0.3
+params: {{alpha: 0.3, beta: 0.38, gamma: -0.22, lambda: 1.0}}
+solver: {{tol: 1.0e-10}}
+initial: {{file: {npz}}}
+""")
+        peak = []
+        residual = solver._kdv_residual
+
+        def record_peak(w, *args):
+            peak.append(np.max(np.abs(w)))
+            return residual(w, *args)
+
+        monkeypatch.setattr(solver, "_kdv_residual", record_peak)
+        _, diags = run(cfg.initial_state(), cfg.params, cfg.solver_config())
+        sup = max(diags.v_sup)
+        assert max(peak) > sup * (1 + 1e-4)
+        M = 0.5 * (sup + max(peak))
+        _, [(_, v_sup_max, active, diff)] = cmd_truncate(cfg, [M], tmp_path)
+        assert v_sup_max < M
+        assert diff > 0.0 and active == 1
+
 
 class TestCli:
     def write_config(self, tmp_path, text=GOOD_YAML):

@@ -523,6 +523,35 @@ class TestKdvUpdate:
         scale = np.abs(fd).max()
         assert np.max(np.abs(jac - fd)) <= 1e-5 * scale
 
+    @settings(max_examples=150, deadline=None)
+    @given(J=st.integers(8, 29), M=st.floats(1.0, 4.0),
+           alpha=st.floats(-1.0, 1.0), gamma=st.floats(-1.0, 1.0),
+           lam=st.sampled_from([0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_truncated_jacobian_matches_finite_differences(self, J, M, alpha,
+                                                           gamma, lam, seed):
+        # |w| up to 3 M^2 reaches every piece of the truncated family, and
+        # g'' != 0 on M < |w| < 2M brings in the coupling_second term
+        g = Grid(J, 10.0)
+        rng = np.random.default_rng(seed)
+        w = np.zeros(g.J + 2)
+        w[g.active] = rng.uniform(-3 * M * M, 3 * M * M, size=g.J - 2)
+        usq = np.zeros(g.J + 2)
+        usq[g.active] = rng.uniform(0, 2, size=g.J - 2)
+        params = ModelParams(alpha, -1.0, gamma, lam,
+                             trunc=TruncationFamily.active(M))
+        tau, eps = 0.01, 1e-6
+        vn = np.zeros(g.J + 2)
+        jac = penta_dense(kdv_jacobian(w, usq, params, tau, g))
+        fd = np.zeros_like(jac)
+        for k in range(g.J - 2):
+            wp, wm = w.copy(), w.copy()
+            wp[2 + k] += eps
+            wm[2 + k] -= eps
+            rp = _kdv_residual(wp, vn, usq, params, tau, g)
+            rm = _kdv_residual(wm, vn, usq, params, tau, g)
+            fd[:, k] = (rp - rm) / (2 * eps)
+        assert np.max(np.abs(jac - fd)) <= 1e-6 * np.abs(fd).max()
+
     def test_newton_quadratic_convergence(self):
         g = Grid(128, 70.0)
         s = self.wave.state(g, 0.0, x_left=-20.0)
